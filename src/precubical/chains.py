@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .carrier import FacePartition, Point, face, in_face_collar, in_star
+from .carrier import HALF, FacePartition, Point, face, in_face_collar, in_star
 from .cubeset import CubeSet, source_vertex, target_vertex
 from .dpath import PLPath, Segment, _interp, _piece_events, evaluate, is_strict
 from .errors import PrecubicalError
@@ -33,9 +34,6 @@ __all__ = [
     "common_refinement_exists",
     "chain_diagonal",
 ]
-
-HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class CubeChain:
@@ -182,20 +180,34 @@ class RefinementPoset:
     def index(self, chain: CubeChain) -> int:
         return self.objects.index(chain)
 
+    def upsets(self, indices: Iterable[int]) -> list[tuple[int, ...]]:
+        """For each index i, the sorted indices of the objects that object i refines.
+
+        Object i itself is included; each up-set is a depth-first search
+        from i over the coarser side of the covers.
+        """
+        coarser: list[list[int]] = [[] for _ in self.objects]
+        for coarse, fine in self.covers:
+            coarser[fine].append(coarse)
+        out = []
+        for i in indices:
+            seen = {i}
+            stack = [i]
+            while stack:
+                for j in coarser[stack.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            out.append(tuple(sorted(seen)))
+        return out
+
     def refines_matrix(self) -> list[list[bool]]:
         """``m[i][j]`` iff object i refines object j (i finer or equal)."""
         n = len(self.objects)
-        m = [[i == j for j in range(n)] for i in range(n)]
-        for coarse, fine in self.covers:
-            m[fine][coarse] = True
-        for k in range(n):
-            for i in range(n):
-                if m[i][k]:
-                    row_k = m[k]
-                    row_i = m[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
+        m = [[False] * n for _ in range(n)]
+        for i, up in enumerate(self.upsets(range(n))):
+            for j in up:
+                m[i][j] = True
         return m
 
 
@@ -210,21 +222,18 @@ def enumerate_chains(X: CubeSet, source: str, target: str, max_length: int) -> R
         raise PrecubicalError("chain endpoints must be vertices")
     found: list[tuple[str, ...]] = []
     truncated = False
-
-    def extend(vertex: str, cubes: list[str], length: int):
-        nonlocal truncated
+    # depth-first over (vertex, cubes so far, length), so long chains need no recursion
+    stack: list[tuple[str, tuple[str, ...], int]] = [(source, (), 0)]
+    while stack:
+        vertex, cubes, length = stack.pop()
         if vertex == target:
-            found.append(tuple(cubes))
+            found.append(cubes)
         for c in X.cubes_from(vertex):
             d = X.dim(c)
             if length + d > max_length:
                 truncated = True
-                continue
-            cubes.append(c)
-            extend(target_vertex(X, c), cubes, length + d)
-            cubes.pop()
-
-    extend(source, [], 0)
+            else:
+                stack.append((target_vertex(X, c), cubes + (c,), length + d))
     objects = tuple(
         CubeChain(source, target, cubes)
         for cubes in sorted(set(found), key=lambda cs: (len(cs), cs))
@@ -421,11 +430,7 @@ def coarsest_common_refinement(X: CubeSet, a: CubeChain, b: CubeChain):
     """
     if (a.source, a.target) != (b.source, b.target):
         raise PrecubicalError("chains must share endpoints")
-    from .cubeset import is_non_self_linked, is_proper
-
-    proper, _ = is_proper(X)
-    nsl, _ = is_non_self_linked(X)
-    if proper and nsl:
+    if X.proper_non_self_linked():
         return _ccr_recursive(X, a, b)
     return _ccr_brute(X, a, b)
 

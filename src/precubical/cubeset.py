@@ -68,6 +68,7 @@ class CubeSet:
         self._iterated: dict[str, dict[str, str]] = {}
         self._locations: dict[str, list[tuple[str, str]]] | None = None
         self._by_source: dict[str, tuple[str, ...]] | None = None
+        self._proper_nsl: bool | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -134,16 +135,8 @@ class CubeSet:
         cached = self._iterated.get(cid)
         if cached is not None:
             return cached
-        n = self.dim(cid)
-        table: dict[str, str] = {}
-        for word_tuple in itertools.product("0*1", repeat=n):
-            word = "".join(word_tuple)
-            cur = cid
-            for i in range(n, 0, -1):
-                ch = word[i - 1]
-                if ch != "*":
-                    cur = self.face(cur, i, int(ch))
-            table[word] = cur
+        words = map("".join, itertools.product("0*1", repeat=self.dim(cid)))
+        table = {word: self.iterated_face(cid, word) for word in words}
         self._iterated[cid] = table
         return table
 
@@ -178,6 +171,16 @@ class CubeSet:
                     index.setdefault(source_vertex(self, cid), []).append(cid)
             self._by_source = {v: tuple(cs) for v, cs in index.items()}
         return self._by_source.get(vertex, ())
+
+    def proper_non_self_linked(self) -> bool:
+        """Whether the complex is proper and non-self-linked, decided once per instance.
+
+        Coarsest common refinements, the nerve-lemma guarantee of the
+        covering nerve and kink-sequence reconstruction depend on it.
+        """
+        if self._proper_nsl is None:
+            self._proper_nsl = is_proper(self)[0] and is_non_self_linked(self)[0]
+        return self._proper_nsl
 
 
 # -- structural predicates -------------------------------------------------

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .carrier import HALF, Point, canonicalize, l1_distance_in_cube, leq_in_cube, representatives
-from .cubeset import CubeSet, is_non_self_linked, is_proper
+from .cubeset import CubeSet
 from .errors import PrecubicalError
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "path",
     "rational_flow",
     "exponential_flow",
-    "FLOWS",
     "evaluate",
     "is_strict",
     "is_tame",
@@ -367,13 +366,6 @@ def exponential_flow(t: float, x: float) -> float:
     return (x * e) / (1.0 - x + x * e)
 
 
-FLOWS: dict[str, Callable] = {
-    "rational": rational_flow,
-    "paper": exponential_flow,
-    "exponential": exponential_flow,
-}
-
-
 def _apply_flow(kind: str, t: Fraction, x: Fraction) -> Fraction:
     if kind == "rational":
         return rational_flow(t, x)
@@ -400,19 +392,7 @@ def strictify(X: CubeSet, p: PLPath, flow: str = "rational", samples: int = 16) 
     interpolates.  Cube membership at every time and the endpoint vertices
     are unchanged; tame paths stay tame.  Requires the domain [0, 1].
     """
-    if samples < 1:
-        raise PrecubicalError("samples must be positive")
-    if (p.t0, p.t1) != (0, 1):
-        raise PrecubicalError("strictify expects a path on the domain [0, 1]")
-    times = _resample_times(p, samples)
-    segments = []
-    for si, seg in enumerate(p.segments):
-        pts = []
-        for t in times[si]:
-            coords = _interp(seg, t)
-            pts.append((t, tuple(_apply_flow(flow, t, x) for x in coords)))
-        segments.append(Segment(seg.cube, tuple(pts)))
-    return PLPath(tuple(segments))
+    return strictify_homotopy(X, p, 1, flow, samples)
 
 
 def strictify_homotopy(X: CubeSet, p: PLPath, s, flow: str = "rational", samples: int = 16) -> PLPath:
@@ -424,15 +404,17 @@ def strictify_homotopy(X: CubeSet, p: PLPath, s, flow: str = "rational", samples
     s = _frac(s)
     if not 0 <= s <= 1:
         raise PrecubicalError("homotopy stage must lie in [0, 1]")
+    if samples < 1:
+        raise PrecubicalError("samples must be positive")
     if (p.t0, p.t1) != (0, 1):
-        raise PrecubicalError("strictify_homotopy expects a path on the domain [0, 1]")
+        raise PrecubicalError("strictify expects a path on the domain [0, 1]")
     times = _resample_times(p, samples)
     segments = []
     for si, seg in enumerate(p.segments):
         pts = []
         for t in times[si]:
-            coords = _interp(seg, t)
-            pts.append((t, tuple(_apply_flow(flow, s * t, x) for x in coords)))
+            st = s * t
+            pts.append((t, tuple(_apply_flow(flow, st, x) for x in _interp(seg, t))))
         segments.append(Segment(seg.cube, tuple(pts)))
     return PLPath(tuple(segments))
 
@@ -564,9 +546,7 @@ def kinks_to_path(X: CubeSet, ks: KinkSequence) -> PLPath:
     Defined only on proper non-self-linked complexes, where the minimal
     common cube and the line segment inside it are unique.
     """
-    proper, _ = is_proper(X)
-    nsl, _ = is_non_self_linked(X)
-    if not proper or not nsl:
+    if not X.proper_non_self_linked():
         raise PrecubicalError("kinks_to_path requires a proper, non-self-linked complex")
     ks.validate(X)
     pts = [canonicalize(X, q) for q in ks.points]

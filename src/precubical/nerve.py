@@ -11,10 +11,10 @@ visible if a complex had any.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .chains import RefinementPoset
-from .cubeset import CubeSet, is_non_self_linked, is_proper
+from .cubeset import CubeSet
 from .errors import PrecubicalError
 
 __all__ = [
@@ -80,46 +80,38 @@ class SimplicialComplex:
         return [len(d) for d in self.simplices()]
 
 
-def _prune_to_maximal(simplices: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    sets = sorted({tuple(sorted(set(s))) for s in simplices}, key=len, reverse=True)
-    kept: list[tuple[int, ...]] = []
-    for s in sets:
-        ss = set(s)
-        if not any(ss <= set(k) for k in kept):
-            kept.append(s)
-    return tuple(sorted(kept))
+def _labels(poset: RefinementPoset) -> tuple[str, ...]:
+    return tuple("|".join(c.cubes) if c.cubes else "(empty)" for c in poset.objects)
 
 
 def order_complex(poset: RefinementPoset) -> SimplicialComplex:
     """The complex of totally ordered subsets of the refinement poset.
 
     Maximal simplices are the maximal chains of the poset, i.e. the
-    maximal paths of its cover (Hasse) diagram.  A truncated poset yields
-    a flagged lower approximation.
+    root-to-leaf paths of its cover (Hasse) diagram.  Each cover adds
+    exactly one cube, so the poset is graded by cube count: a path meets
+    every grade between its ends once, which makes distinct paths distinct
+    sets, and no element can be inserted into a path from a coarsest to a
+    finest chain, which makes each path inclusion-maximal.  A truncated
+    poset yields a flagged lower approximation.
     """
     n = len(poset.objects)
-    labels = tuple("|".join(c.cubes) if c.cubes else "(empty)" for c in poset.objects)
-    finer: dict[int, list[int]] = {i: [] for i in range(n)}
-    coarser_count = [0] * n
+    finer: list[list[int]] = [[] for _ in range(n)]
+    is_root = [True] * n
     for coarse, fine in poset.covers:
         finer[coarse].append(fine)
-        coarser_count[fine] += 1
+        is_root[fine] = False
     maximal: list[tuple[int, ...]] = []
-
-    def walk(node: int, acc: list[int]):
-        acc.append(node)
-        if not finer[node]:
-            maximal.append(tuple(sorted(acc)))
+    # each stack entry is a path from a root, extended until it ends at a leaf
+    stack = [(i,) for i in range(n) if is_root[i]]
+    while stack:
+        walk = stack.pop()
+        if finer[walk[-1]]:
+            stack.extend(walk + (nxt,) for nxt in finer[walk[-1]])
         else:
-            for nxt in finer[node]:
-                walk(nxt, acc)
-        acc.pop()
-
-    for i in range(n):
-        if coarser_count[i] == 0:
-            walk(i, [])
+            maximal.append(tuple(sorted(walk)))
     flags = frozenset({"truncated-approximation"} if poset.truncated else set())
-    return SimplicialComplex(labels, _prune_to_maximal(maximal), flags)
+    return SimplicialComplex(_labels(poset), tuple(sorted(maximal)), flags)
 
 
 def covering_nerve(
@@ -129,33 +121,26 @@ def covering_nerve(
 
     A set of chains spans a simplex exactly when it has a common
     refinement, i.e. when it is contained in the up-set of some chain; so
-    the maximal simplices are the maximal up-sets, taken over the minimal
-    chains of the poset.  On complexes that are not proper and
-    non-self-linked the covering loses its nerve-lemma guarantee, which is
-    recorded as a flag rather than refusing the computation; ``guarantee``
-    overrides the check when the complex itself is not at hand.
+    the maximal simplices are the up-sets of the finest chains.  These need
+    no pruning: if the up-set of a finest chain ``a`` lies in that of
+    ``b``, then ``b`` refines ``a``, and as nothing is finer than ``a``,
+    ``b`` is ``a``.  On complexes that are not proper and non-self-linked
+    the covering loses its nerve-lemma guarantee, which is recorded as a
+    flag rather than refusing the computation; ``guarantee`` overrides the
+    check when the complex itself is not at hand.
     """
-    n = len(poset.objects)
-    labels = tuple("|".join(c.cubes) if c.cubes else "(empty)" for c in poset.objects)
-    m = poset.refines_matrix()
-    has_finer = [False] * n
-    for coarse, fine in poset.covers:
-        has_finer[coarse] = True
-    upsets = [
-        tuple(sorted(j for j in range(n) if m[i][j]))
-        for i in range(n)
-        if not has_finer[i]
-    ]
+    has_finer = {coarse for coarse, _ in poset.covers}
+    finest = [i for i in range(len(poset.objects)) if i not in has_finer]
     flags = set()
     if poset.truncated:
         flags.add("truncated-approximation")
     if guarantee is None:
         if X is None:
             raise PrecubicalError("covering_nerve needs the complex or an explicit guarantee")
-        guarantee = is_proper(X)[0] and is_non_self_linked(X)[0]
+        guarantee = X.proper_non_self_linked()
     if not guarantee:
         flags.add("no-nerve-lemma-guarantee")
-    return SimplicialComplex(labels, _prune_to_maximal(upsets), frozenset(flags))
+    return SimplicialComplex(_labels(poset), tuple(sorted(poset.upsets(finest))), frozenset(flags))
 
 
 # -- integer homology ---------------------------------------------------------

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .carrier import FacePartition, Point, canonicalize, in_star, representatives
+from .carrier import FacePartition, Point, _in_box, canonicalize, in_star, representatives
 from .chains import CubeChain
 from .cubeset import CubeSet
 from .dpath import PLPath, Segment, _interp, evaluate, is_strict
@@ -35,9 +35,6 @@ __all__ = [
     "tame",
     "taming_homotopy",
 ]
-
-HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class MSurface:
@@ -76,10 +73,6 @@ class CrossingProfile:
 def _hosts(X: CubeSet, carrier: str, cube: str) -> list[FacePartition]:
     """Embeddings of ``cube`` as an iterated face of ``carrier`` (or itself)."""
     return [FacePartition.from_word(w) for c, w in X.face_locations(cube) if c == carrier]
-
-
-def _in_box(coords: tuple[Fraction, ...], fp: FacePartition) -> bool:
-    return all(coords[i - 1] < HALF for i in fp.at0) and all(coords[i - 1] > HALF for i in fp.at1)
 
 
 def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage: str) -> tuple[Fraction, ...] | None:

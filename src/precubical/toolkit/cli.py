@@ -92,8 +92,7 @@ def cmd_chains(args) -> None:
     if not source or not target:
         raise FormatError("need --from/--to (or a cubeset with embedded start/end)")
     poset = chains_mod.enumerate_chains(X, source, target, args.max_len)
-    guarantee = cubeset_mod.is_proper(X)[0] and cubeset_mod.is_non_self_linked(X)[0]
-    _write(args, formats.write_poset(poset, proper_non_self_linked=guarantee))
+    _write(args, formats.write_poset(poset, proper_non_self_linked=X.proper_non_self_linked()))
 
 
 def cmd_nerve(args) -> None:

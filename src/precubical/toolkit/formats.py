@@ -235,6 +235,12 @@ def parse_poset(text: str) -> tuple[RefinementPoset, bool]:
         CubeChain(source, target, tuple(cubes)) for cubes in _expect(doc, "objects", "poset")
     )
     covers = tuple((int(a), int(b)) for a, b in _expect(doc, "covers", "poset"))
+    # order_complex and covering_nerve rely on covers being distinct one-cube refinements
+    for a, b in covers:
+        if not (0 <= a < len(objects) and 0 <= b < len(objects)) or len(objects[b]) != len(objects[a]) + 1:
+            raise FormatError(f"poset: cover {[a, b]} does not add one cube to a listed chain")
+    if len(set(covers)) != len(covers):
+        raise FormatError("poset: repeated cover")
     poset = RefinementPoset(
         source,
         target,

@@ -92,6 +92,7 @@ def test_refines_is_a_partial_order_on_desk_posets():
         for i, j, k in itertools.product(range(len(objs)), repeat=3):
             if rel[i, j] and rel[j, k]:
                 assert rel[i, k]
+        assert poset.refines_matrix() == [[rel[i, j] for j in range(len(objs))] for i in range(len(objs))]
 
 
 def test_enumerate_full_square():
@@ -265,6 +266,13 @@ def test_finest_chain_minimality_randomized():
 def test_enumerate_loop_free_same_endpoint_gives_empty_chain_only():
     poset = enumerate_chains(SQ, "v00", "v00", 2)
     assert [c.cubes for c in poset.objects] == [()]
+    assert not poset.truncated
+
+
+def test_enumerate_long_line_needs_no_recursion():
+    line = euclidean([((i,), (i + 1,)) for i in range(1500)])
+    poset = enumerate_chains(line, "0|0", "1500|1500", 1500)
+    assert len(poset.objects) == 1 and len(poset.objects[0].cubes) == 1500
     assert not poset.truncated
 
 

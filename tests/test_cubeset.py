@@ -90,6 +90,10 @@ def test_is_non_self_linked():
     assert not ok and witness is not None
     ok, witness = is_non_self_linked(q_complex(2))
     assert not ok and witness[0] == "q2_0"
+    for X in (grid, z_complex(2), q_complex(2), glued_squares(), boundary_cube(3)):
+        expected = is_proper(X)[0] and is_non_self_linked(X)[0]
+        assert X.proper_non_self_linked() is expected
+        assert X.proper_non_self_linked() is expected  # cached answer
 
 
 def test_q_complex_counts_and_structure():

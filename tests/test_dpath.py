@@ -245,6 +245,8 @@ def test_strictify_homotopy_endpoints_and_monotonicity():
 def test_strictify_requires_unit_domain_and_positive_samples():
     with pytest.raises(PrecubicalError):
         strictify(SQ, DIAG, samples=0)
+    with pytest.raises(PrecubicalError):
+        strictify_homotopy(SQ, DIAG, F(1, 2), samples=0)
     shifted = path([("**", [(0, (0, 0)), (2, (1, 1))])])
     with pytest.raises(PrecubicalError):
         strictify(SQ, shifted)

@@ -16,9 +16,11 @@ from precubical import (
     full_cube,
     homology,
     order_complex,
+    q_complex,
     smith_normal_form,
     z_complex,
 )
+from precubical.toolkit import parse_pv, pv_to_euclidean
 
 
 def test_smith_normal_form_known_matrices():
@@ -122,6 +124,28 @@ def test_covering_nerve_matches_order_complex_on_proper_fixtures():
     for X, a, b, ml in cases:
         poset = enumerate_chains(X, a, b, ml)
         assert homology(order_complex(poset)).equivalent(homology(covering_nerve(X, poset)))
+
+
+def test_maximal_simplices_are_distinct_and_inclusion_maximal():
+    # both complexes keep Hasse-diagram paths and finest-chain up-sets unpruned;
+    # grading by cube count is what makes them distinct and inclusion-maximal
+    prog = parse_pv("A = P(a).P(b).V(b).V(a); B = P(b).P(a).V(a).V(b)")
+    deadlock, start, end = pv_to_euclidean(prog)
+    cases = [
+        (boundary_cube(4), "v0000", "v1111", 4),
+        (full_cube(4), "v0000", "v1111", 4),
+        (deadlock, start, end, 8),
+        (z_complex(2), "c0", "c0", 2),
+        (q_complex(3), "q0_0", "q0_3", 3),
+    ]
+    for X, a, b, ml in cases:
+        poset = enumerate_chains(X, a, b, ml)
+        for K in (order_complex(poset), covering_nerve(X, poset)):
+            sets = [set(s) for s in K.maximal]
+            assert len(set(K.maximal)) == len(K.maximal)
+            assert not any(s < t for s in sets for t in sets)
+    bd4 = enumerate_chains(boundary_cube(4), "v0000", "v1111", 4)
+    assert len(order_complex(bd4).maximal) == 144
 
 
 def test_flags_propagate():

@@ -14,6 +14,7 @@ from precubical import (
     Point,
     boundary_cube,
     enumerate_chains,
+    euclidean,
     full_cube,
     is_non_self_linked,
     is_proper,
@@ -116,6 +117,13 @@ def test_chain_and_poset_round_trip():
     back, guarantee = parse_poset(text)
     assert guarantee and back == poset
     assert write_poset(back) == text
+
+
+def test_parse_poset_rejects_covers_that_do_not_add_one_cube():
+    doc = json.loads(write_poset(enumerate_chains(boundary_cube(3), "v000", "v111", 3)))
+    for covers in ([[0, 0]], [[0, 99]], [[0, 6], [6, 0]], [doc["covers"][0]] * 2):
+        with pytest.raises(FormatError):
+            parse_poset(json.dumps({**doc, "covers": covers}))
 
 
 def test_kinks_round_trip():
@@ -308,6 +316,13 @@ def test_cli_covering_nerve_flags_from_truncated_loop_complex():
     assert {"truncated-approximation", "no-nerve-lemma-guarantee"} <= flags
     hom = run_cli(["homology"], nerve.stdout)
     assert {"truncated-approximation", "no-nerve-lemma-guarantee"} <= set(json.loads(hom.stdout)["flags"])
+
+
+def test_cli_chains_on_a_long_line():
+    line = euclidean([((i,), (i + 1,)) for i in range(1500)])
+    r = run_cli(["chains", "--from", "0|0", "--to", "1500|1500", "--max-len", "1500"], write_cubeset(line))
+    assert r.returncode == 0, r.stderr
+    assert len(json.loads(r.stdout)["objects"]) == 1
 
 
 def test_pv_two_semaphore_deadlock_geometry():
