@@ -424,56 +424,52 @@ def coarsest_common_refinement(X: CubeSet, a: CubeChain, b: CubeChain):
 
     Returns a chain, ``None`` when the chains have no common refinement, or
     :data:`NO_COARSEST` when common refinements exist but no coarsest one.
-    On proper non-self-linked complexes a recursive head-splitting
-    algorithm is used; otherwise the refinement sets are intersected
+    On proper non-self-linked complexes the head cubes are split off one at
+    a time, in a loop; otherwise the refinement sets are intersected
     directly.
     """
     if (a.source, a.target) != (b.source, b.target):
         raise PrecubicalError("chains must share endpoints")
     if X.proper_non_self_linked():
-        return _ccr_recursive(X, a, b)
+        return _ccr_heads(X, a, b)
     return _ccr_brute(X, a, b)
 
 
-def _ccr_recursive(X: CubeSet, a: CubeChain, b: CubeChain):
-    if a == b:
-        return a
-    if a.length(X) != b.length(X):
-        return None
-    if not a.cubes or not b.cubes:
-        return a if a == b else None
-    ha, hb = a.cubes[0], b.cubes[0]
-    common = set(_lower_faces(X, ha)) & set(_lower_faces(X, hb))
-    common = {d for d in common if X.dim(d) >= 1}
-    if not common:
-        return None
-    top = max(X.dim(d) for d in common)
-    best = [d for d in common if X.dim(d) == top]
-    if len(best) != 1:
-        # properness should preclude this; fall back to the exhaustive route
-        return _ccr_brute(X, a, b)
-    d = best[0]
-    if d == ha and d == hb:
-        tail = _ccr_recursive(
-            X,
-            CubeChain(target_vertex(X, d), a.target, a.cubes[1:]),
-            CubeChain(target_vertex(X, d), b.target, b.cubes[1:]),
-        )
-        if tail is None or tail is NO_COARSEST:
-            return tail
-        return CubeChain(a.source, a.target, (d,) + tail.cubes)
-    if d == ha:
-        rest_a = CubeChain(target_vertex(X, d), a.target, a.cubes[1:])
-    else:
-        rest_a = _split_head(X, a, d, _lower_faces(X, ha)[d])
-    if d == hb:
-        rest_b = CubeChain(target_vertex(X, d), b.target, b.cubes[1:])
-    else:
-        rest_b = _split_head(X, b, d, _lower_faces(X, hb)[d])
-    tail = _ccr_recursive(X, rest_a, rest_b)
-    if tail is None or tail is NO_COARSEST:
+def _ccr_heads(X: CubeSet, a: CubeChain, b: CubeChain):
+    # split off the largest common lower face of the two head cubes until the
+    # chains agree; the result is those heads followed by the agreed tail
+    source, target = a.source, a.target
+    heads: list[str] = []
+    while True:
+        if a == b:
+            tail = a
+            break
+        if a.length(X) != b.length(X) or not a.cubes or not b.cubes:
+            return None
+        ha, hb = a.cubes[0], b.cubes[0]
+        common = set(_lower_faces(X, ha)) & set(_lower_faces(X, hb))
+        common = {d for d in common if X.dim(d) >= 1}
+        if not common:
+            return None
+        top = max(X.dim(d) for d in common)
+        best = [d for d in common if X.dim(d) == top]
+        if len(best) != 1:
+            # properness should preclude this; fall back to the exhaustive route
+            tail = _ccr_brute(X, a, b)
+            break
+        d = best[0]
+        if d == ha:
+            a = CubeChain(target_vertex(X, d), a.target, a.cubes[1:])
+        else:
+            a = _split_head(X, a, d, _lower_faces(X, ha)[d])
+        if d == hb:
+            b = CubeChain(target_vertex(X, d), b.target, b.cubes[1:])
+        else:
+            b = _split_head(X, b, d, _lower_faces(X, hb)[d])
+        heads.append(d)
+    if not heads or tail is None or tail is NO_COARSEST:
         return tail
-    return CubeChain(a.source, a.target, (d,) + tail.cubes)
+    return CubeChain(source, target, tuple(heads) + tail.cubes)
 
 
 def _ccr_brute(X: CubeSet, a: CubeChain, b: CubeChain):

@@ -229,6 +229,17 @@ def test_ccr_recursive_matches_brute_force():
                 assert fast == slow or fast is slow
 
 
+def test_ccr_on_a_long_strip_needs_no_recursion():
+    # 1,499 shared head edges, then a vertical edge against the last square
+    n = 1500
+    strip = euclidean([((i, 0), (i + 1, 1)) for i in range(n)])
+    edges = tuple(f"{i},0|{i + 1},0" for i in range(n))
+    a = CubeChain("0,0|0,0", f"{n},1|{n},1", edges + (f"{n},0|{n},1",))
+    b = CubeChain("0,0|0,0", f"{n},1|{n},1", edges[:-1] + (f"{n - 1},0|{n},1",))
+    assert coarsest_common_refinement(strip, a, b) == a
+    assert coarsest_common_refinement(strip, b, b) == b
+
+
 def test_common_refinement_exists():
     byc = {c.cubes: c for c in B3_POSET.objects}
     trio = [byc[("**0", "11*")], byc[("*00", "1**")], byc[("*00", "1*0", "11*")]]

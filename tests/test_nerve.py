@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precubical import (
     HomologyResult,
@@ -44,12 +46,24 @@ def test_homology_of_standard_complexes():
     two_points = SimplicialComplex(("a", "b"), ((0,), (1,)))
     assert betti(two_points) == (2,)
     assert components(two_points) == 2
+    # components come from a union-find, not from homology
+    mutex3, start, end = pv_to_euclidean(parse_pv("A = P(a).V(a); B = P(a).V(a); C = P(a).V(a)"))
+    mutex3_order = order_complex(enumerate_chains(mutex3, start, end, 6))
+    z2 = order_complex(enumerate_chains(z_complex(2), "c0", "c0", 2))
+    assert "truncated-approximation" in z2.flags
+    unused_vertex = SimplicialComplex(tuple("abcd"), ((0, 1), (2,)))
+    for K in (disk, sphere, circle, two_points, mutex3_order, z2, unused_vertex):
+        assert components(K) == betti(K)[0]
+    assert components(mutex3_order) == 6
+    assert components(unused_vertex) == 2
+
+
+RP2 = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+       (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
 
 
 def test_homology_torsion_visible():
-    rp2 = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-           (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
-    h = homology(SimplicialComplex(tuple("abcdef"), tuple(rp2)))
+    h = homology(SimplicialComplex(tuple("abcdef"), tuple(RP2)))
     assert h.betti == (1, 0, 0)
     assert h.torsion == ((), (2,), ())
 
@@ -179,6 +193,14 @@ def test_simplex_budget_guard():
         big.simplices(budget=1000)
 
 
+def test_simplex_budget_error_names_dimension_and_counts():
+    K = SimplicialComplex(tuple("abcde"), ((0, 1, 2, 3, 4),))
+    # the 4-simplex and its 5 facets fit the budget of 6; the first 2-face does not
+    with pytest.raises(PrecubicalError, match=r"^simplex budget of 6 exceeded in dimension 2 "
+                       r"\(counts so far \[0, 0, 0, 5, 1\]\)$"):
+        K.simplices(budget=6)
+
+
 def test_empty_complex():
     K = SimplicialComplex((), ())
     h = homology(K)
@@ -217,14 +239,21 @@ def _rank_over_q(matrix):
     return rank
 
 
-def _betti_via_rational_ranks(K):
-    from precubical.nerve import _boundary_matrix
+def _dense_boundary(lower, upper):
+    index = {s: i for i, s in enumerate(lower)}
+    mat = [[0] * len(upper) for _ in lower]
+    for j, s in enumerate(upper):
+        for i in range(len(s)):
+            mat[index[s[:i] + s[i + 1 :]]][j] = -1 if i % 2 else 1
+    return mat
 
+
+def _betti_via_rational_ranks(K):
     grades = K.simplices()
     dim = len(grades) - 1
     ranks = [0] * (dim + 2)
     for k in range(1, dim + 1):
-        ranks[k] = _rank_over_q(_boundary_matrix(grades[k - 1], grades[k]))
+        ranks[k] = _rank_over_q(_dense_boundary(grades[k - 1], grades[k]))
     return tuple(len(grades[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))
 
 
@@ -248,3 +277,68 @@ def test_order_complex_of_empty_and_singleton_posets():
     single = enumerate_chains(full_cube(2), "v00", "v00", 2)
     K1 = order_complex(single)
     assert betti(K1) == (1,)
+
+
+# -- sparse kernel against the dense Smith normal form ---------------------------------
+
+
+def _dense_homology(K):
+    """Homology from dense boundary matrices and the public Smith normal form."""
+    grades = K.simplices()
+    diags = [[]] * (len(grades) + 1)
+    for k in range(1, len(grades)):
+        diags[k] = [d for d in smith_normal_form(_dense_boundary(grades[k - 1], grades[k])) if d]
+    return HomologyResult(
+        tuple(len(g) - len(diags[k]) - len(diags[k + 1]) for k, g in enumerate(grades)),
+        tuple(tuple(d for d in diags[k + 1] if d > 1) for k in range(len(grades))),
+    )
+
+
+def _check_against_dense(K):
+    from precubical.nerve import _boundary
+
+    h = homology(K)
+    assert h.equivalent(_dense_homology(K))
+    assert euler(K) == sum((-1) ** k * b for k, b in enumerate(h.betti))
+    assert components(K) == (h.betti[0] if h.betti else 0)
+    grades = K.simplices()
+    for k in range(2, len(grades)):
+        outer = _boundary(grades[k - 2], grades[k - 1])
+        for col in _boundary(grades[k - 1], grades[k]):
+            total = {}
+            for r, v in col.items():
+                for i, w in outer[r].items():
+                    total[i] = total.get(i, 0) + v * w
+            assert not any(total.values())
+    return h
+
+
+@st.composite
+def _random_complexes(draw):
+    n = draw(st.integers(1, 8))
+    # mostly edges to tetrahedra: uniform sizes from 1 to 5 vertices let one
+    # big simplex swallow the rest, and almost every complex is contractible
+    size = st.integers(2, 4) | st.integers(1, 5)
+    vertex_sets = draw(
+        st.lists(
+            size.flatmap(lambda k: st.frozensets(st.integers(0, n - 1), min_size=min(k, n), max_size=min(k, n))),
+            min_size=3,
+            max_size=8,
+        )
+    )
+    maximal = {tuple(sorted(s)) for s in vertex_sets if not any(s < t for t in vertex_sets)}
+    return SimplicialComplex(tuple(str(i) for i in range(n)), tuple(sorted(maximal)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=1000)
+@given(_random_complexes())
+def test_sparse_homology_matches_dense_smith_normal_form(K):
+    _check_against_dense(K)
+
+
+def test_sparse_homology_finds_torsion_above_degree_one():
+    # the suspension of the projective plane: H2 = Z/2
+    suspension = tuple(s + (6,) for s in RP2) + tuple(s + (7,) for s in RP2)
+    h = _check_against_dense(SimplicialComplex(tuple("abcdefgh"), suspension))
+    assert h.betti == (1, 0, 0, 0)
+    assert h.torsion == ((), (), (2,), ())
