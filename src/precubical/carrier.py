@@ -84,7 +84,8 @@ class Point:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(x) for x in self.coords))
+        coords = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.coords)
+        object.__setattr__(self, "coords", coords)
         for x in self.coords:
             if not 0 <= x <= 1:
                 raise PrecubicalError(f"coordinate {x} outside [0, 1]")
@@ -140,10 +141,11 @@ def representatives(X: CubeSet, p: Point) -> list[tuple[str, tuple[Fraction, ...
     return out
 
 
-def _in_box(coords: tuple[Fraction, ...], fp: FacePartition) -> bool:
-    # Half-open collar box: strictly below 1/2 on frozen-at-0 axes and
-    # strictly above on frozen-at-1 axes; free axes are unconstrained.
-    return all(coords[i - 1] < HALF for i in fp.at0) and all(coords[i - 1] > HALF for i in fp.at1)
+def _in_box(coords: tuple[Fraction, ...], word: str) -> bool:
+    # Half-open collar box of the face named by ``word``: strictly below 1/2
+    # on axes frozen at 0, strictly above on axes frozen at 1; free axes
+    # are unconstrained.
+    return all(ch == "*" or (x < HALF if ch == "0" else x > HALF) for x, ch in zip(coords, word))
 
 
 def in_collar(X: CubeSet, p: Point, cid: str, fp: FacePartition) -> bool:
@@ -155,19 +157,19 @@ def in_collar(X: CubeSet, p: Point, cid: str, fp: FacePartition) -> bool:
     if fp.n != X.dim(cid):
         raise PrecubicalError(f"partition over {fp.n} axes applied to {X.dim(cid)}-cube {cid!r}")
     p = canonicalize(X, p)
-    for cube, coords in representatives(X, p):
-        if cube == cid and _in_box(coords, fp):
-            return True
-    return False
+    word = fp.word()
+    return any(cube == cid and _in_box(coords, word) for cube, coords in representatives(X, p))
 
 
-def _collar_boxes(X: CubeSet, d: str) -> list[tuple[str, FacePartition]]:
-    """All (cube, partition) boxes whose union is the collar of ``d``."""
-    targets = X.iterated_face_ids(d)
-    boxes: list[tuple[str, FacePartition]] = []
-    for e in sorted(targets):
-        for cube, word in X.face_locations(e):
-            boxes.append((cube, FacePartition.from_word(word)))
+def _collar_boxes(X: CubeSet, d: str) -> dict[str, list[str]]:
+    """The face words of the collar boxes of ``d``, by cube; built once per complex."""
+    boxes = X._collars.get(d)
+    if boxes is None:
+        boxes = {}
+        for e in sorted(X.iterated_face_ids(d)):
+            for cube, word in X.face_locations(e):
+                boxes.setdefault(cube, []).append(word)
+        X._collars[d] = boxes
     return boxes
 
 
@@ -177,15 +179,9 @@ def in_face_collar(X: CubeSet, p: Point, d: str) -> bool:
     The collar is the union of the collar boxes of every location of every
     iterated face of ``d`` (including ``d`` itself).
     """
-    p = canonicalize(X, p)
-    reps = {}
-    for cube, coords in representatives(X, p):
-        reps.setdefault(cube, []).append(coords)
-    for cube, fp in _collar_boxes(X, d):
-        for coords in reps.get(cube, ()):
-            if _in_box(coords, fp):
-                return True
-    return False
+    reps = representatives(X, canonicalize(X, p))
+    boxes = _collar_boxes(X, d)
+    return any(_in_box(coords, word) for cube, coords in reps for word in boxes.get(cube, ()))
 
 
 def in_star(X: CubeSet, p: Point, v: str) -> bool:

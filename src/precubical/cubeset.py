@@ -67,6 +67,7 @@ class CubeSet:
         # lazily built indexes
         self._iterated: dict[str, dict[str, str]] = {}
         self._locations: dict[str, list[tuple[str, str]]] | None = None
+        self._collars: dict[str, dict[str, list[str]]] = {}  # filled by carrier._collar_boxes
         self._by_source: dict[str, tuple[str, ...]] | None = None
         self._proper_nsl: bool | None = None
 

@@ -6,13 +6,22 @@ Coordinates are exact rationals, times strictly increase inside a
 segment, segments abut in time, and the junction points agree after
 canonicalization.  Evaluation interpolates linearly, so every derived
 quantity (crossing times, arc lengths, taming cuts) stays rational.
+
+Each path lazily builds one time index on first use: the ascending
+segment end times and the distinct breakpoint times.  Paths are
+immutable, so the index never goes stale; every per-time lookup (the
+segments holding a time, the breakpoints inside an interval) bisects it
+instead of scanning all segments.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .carrier import HALF, Point, canonicalize, l1_distance_in_cube, leq_in_cube, representatives
@@ -102,13 +111,18 @@ class PLPath:
     def t1(self) -> Fraction:
         return self.segments[-1].t1
 
-    def breakpoint_times(self) -> list[Fraction]:
+    @cached_property
+    def _time_index(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """Segment end times and distinct breakpoint times, both ascending."""
         times: list[Fraction] = []
         for seg in self.segments:
             for t, _ in seg.points:
                 if not times or t > times[-1]:
                     times.append(t)
-        return times
+        return tuple(seg.t1 for seg in self.segments), tuple(times)
+
+    def breakpoint_times(self) -> list[Fraction]:
+        return list(self._time_index[1])
 
     def validate(self, X: CubeSet) -> None:
         """Check coordinate ranges, monotonicity, and junction continuity."""
@@ -160,29 +174,44 @@ def path(segments: Sequence[tuple[str, Sequence]]) -> PLPath:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _segment_at(p: PLPath, t: Fraction) -> Segment:
-    for seg in p.segments:
-        if seg.t0 <= t <= seg.t1:
-            return seg
-    raise PrecubicalError(f"time {t} outside the path domain [{p.t0}, {p.t1}]")
+def _segments_at(p: PLPath, t: Fraction) -> tuple[Segment, ...]:
+    """The one or two segments whose closed interval holds ``t``, in order.
+
+    Two exactly at a junction time, none outside the path domain.
+    """
+    if t < p.t0 or t > p.t1:
+        return ()
+    ends = p._time_index[0]
+    i = bisect_left(ends, t)
+    return p.segments[i : i + 2] if ends[i] == t else p.segments[i : i + 1]
+
+
+def _times_between(p: PLPath, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
+    """The breakpoint times strictly between ``a`` and ``b``, ascending."""
+    times = p._time_index[1]
+    return times[bisect_right(times, a) : bisect_left(times, b)]
 
 
 def _interp(seg: Segment, t: Fraction) -> tuple[Fraction, ...]:
     pts = seg.points
-    for (ta, xa), (tb, xb) in zip(pts, pts[1:]):
-        if ta <= t <= tb:
-            if t == ta:
-                return xa
-            lam = (t - ta) / (tb - ta)
-            return tuple(a + lam * (b - a) for a, b in zip(xa, xb))
-    raise PrecubicalError(f"time {t} outside segment [{seg.t0}, {seg.t1}]")
+    k = bisect_left(pts, t, key=itemgetter(0))
+    if k < len(pts) and pts[k][0] == t:
+        return pts[k][1]
+    if k == 0 or k == len(pts):
+        raise PrecubicalError(f"time {t} outside segment [{seg.t0}, {seg.t1}]")
+    (ta, xa), (tb, xb) = pts[k - 1], pts[k]
+    lam = (t - ta) / (tb - ta)
+    return tuple(a + lam * (b - a) for a, b in zip(xa, xb))
 
 
 def evaluate(X: CubeSet, p: PLPath, t) -> Point:
     """The canonical point of the path at time ``t``."""
     t = _frac(t)
-    seg = _segment_at(p, t)
-    return canonicalize(X, Point(seg.cube, _interp(seg, t)))
+    segs = _segments_at(p, t)
+    if not segs:
+        raise PrecubicalError(f"time {t} outside the path domain [{p.t0}, {p.t1}]")
+    # at a junction the earlier segment's end point is used
+    return canonicalize(X, Point(segs[0].cube, _interp(segs[0], t)))
 
 
 def paths_equal(X: CubeSet, p: PLPath, q: PLPath) -> bool:
@@ -233,17 +262,17 @@ def _vertex_times(X: CubeSet, p: PLPath) -> list[Fraction]:
     only sit at 0 or 1 on a whole piece or reach them at a piece end;
     vertex visits therefore happen exactly at breakpoint times.
     """
-    return sorted(t for t in p.breakpoint_times() if evaluate(X, p, t).is_vertex())
+    return [t for t in p._time_index[1] if evaluate(X, p, t).is_vertex()]
 
 
 def _piece_carrier(X: CubeSet, p: PLPath, a: Fraction, b: Fraction) -> str | None:
-    """A cube containing the whole sub-path on [a, b], or None.
+    """A cube containing the whole sub-path on [a, b] (with a < b), or None.
 
     The open interval between consecutive sample times has a constant
     minimal carrier, so midpoint carriers together with endpoint carriers
     determine containment.  Returns a common coface of minimal dimension.
     """
-    times = sorted({t for t in p.breakpoint_times() if a < t < b} | {a, b})
+    times = [a, *_times_between(p, a, b), b]
     mids = [(s + t) / 2 for s, t in zip(times, times[1:])]
     carriers = [evaluate(X, p, t).cube for t in times + mids]
     common: set[str] | None = None
@@ -310,12 +339,9 @@ def reparametrize(p: PLPath, phi: Sequence[tuple]) -> PLPath:
     # the path's breakpoint times; between consecutive knots the composite
     # is affine inside one presentation cube.
     knots: list[tuple[Fraction, Fraction]] = [pairs[0]]
-    bts = p.breakpoint_times()
     for (u0, t0), (u1, t1) in zip(pairs, pairs[1:]):
-        if t1 > t0:
-            for bt in bts:
-                if t0 < bt < t1:
-                    knots.append((u0 + (bt - t0) / (t1 - t0) * (u1 - u0), bt))
+        for bt in _times_between(p, t0, t1):
+            knots.append((u0 + (bt - t0) / (t1 - t0) * (u1 - u0), bt))
         knots.append((u1, t1))
 
     segments: list[Segment] = []
@@ -330,8 +356,9 @@ def reparametrize(p: PLPath, phi: Sequence[tuple]) -> PLPath:
         if ub == ua:
             continue
         if cur_seg is None or not (cur_seg.t0 <= ta and tb <= cur_seg.t1):
-            candidates = [s for s in p.segments if s.t0 <= ta and tb <= s.t1]
-            nxt = candidates[0]
+            # no breakpoint lies strictly between consecutive knots, so the
+            # first segment holding ta that reaches tb holds the whole piece
+            nxt = next(s for s in _segments_at(p, ta) if tb <= s.t1)
             if cur_seg is not nxt:
                 flush()
                 cur_seg, cur_pts = nxt, [(ua, _interp(nxt, ta))]

@@ -97,7 +97,19 @@ def _labels(poset: RefinementPoset) -> tuple[str, ...]:
     return tuple("|".join(c.cubes) if c.cubes else "(empty)" for c in poset.objects)
 
 
-def order_complex(poset: RefinementPoset) -> SimplicialComplex:
+def _flags(poset: RefinementPoset, guarantee: bool | None) -> frozenset[str]:
+    """Flags of ``order_complex`` and ``covering_nerve``; ``guarantee=None`` means unknown."""
+    flags = set()
+    if poset.truncated:
+        flags.add("truncated-approximation")
+    if guarantee is not None and not guarantee:
+        flags.add("no-nerve-lemma-guarantee")
+    return frozenset(flags)
+
+
+def order_complex(
+    poset: RefinementPoset, X: CubeSet | None = None, guarantee: bool | None = None
+) -> SimplicialComplex:
     """The complex of totally ordered subsets of the refinement poset.
 
     Maximal simplices are the maximal chains of the poset, i.e. the
@@ -106,7 +118,11 @@ def order_complex(poset: RefinementPoset) -> SimplicialComplex:
     every grade between its ends once, which makes distinct paths distinct
     sets, and no element can be inserted into a path from a coarsest to a
     finest chain, which makes each path inclusion-maximal.  A truncated
-    poset yields a flagged lower approximation.
+    poset yields a flagged lower approximation.  On complexes that are not
+    proper and non-self-linked the poset merges refinements (two splits of
+    a self-linked cube can give the same chain), so the result is flagged
+    as in :func:`covering_nerve`; the complex ``X`` or an explicit
+    ``guarantee`` decides this, and with neither no flag is added.
     """
     n = len(poset.objects)
     finer: list[list[int]] = [[] for _ in range(n)]
@@ -123,8 +139,9 @@ def order_complex(poset: RefinementPoset) -> SimplicialComplex:
             stack.extend(walk + (nxt,) for nxt in finer[walk[-1]])
         else:
             maximal.append(tuple(sorted(walk)))
-    flags = frozenset({"truncated-approximation"} if poset.truncated else set())
-    return SimplicialComplex(_labels(poset), tuple(sorted(maximal)), flags)
+    if guarantee is None and X is not None:
+        guarantee = X.proper_non_self_linked()
+    return SimplicialComplex(_labels(poset), tuple(sorted(maximal)), _flags(poset, guarantee))
 
 
 def covering_nerve(
@@ -144,16 +161,11 @@ def covering_nerve(
     """
     has_finer = {coarse for coarse, _ in poset.covers}
     finest = [i for i in range(len(poset.objects)) if i not in has_finer]
-    flags = set()
-    if poset.truncated:
-        flags.add("truncated-approximation")
     if guarantee is None:
         if X is None:
             raise PrecubicalError("covering_nerve needs the complex or an explicit guarantee")
         guarantee = X.proper_non_self_linked()
-    if not guarantee:
-        flags.add("no-nerve-lemma-guarantee")
-    return SimplicialComplex(_labels(poset), tuple(sorted(poset.upsets(finest))), frozenset(flags))
+    return SimplicialComplex(_labels(poset), tuple(sorted(poset.upsets(finest))), _flags(poset, guarantee))
 
 
 # -- integer homology ---------------------------------------------------------

@@ -18,13 +18,14 @@ the tamed breakpoints are exact.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .carrier import FacePartition, Point, _in_box, canonicalize, in_star, representatives
 from .chains import CubeChain
 from .cubeset import CubeSet
-from .dpath import PLPath, Segment, _interp, evaluate, is_strict
+from .dpath import PLPath, Segment, _interp, _segments_at, _times_between, evaluate, is_strict
 from .errors import PrecubicalError, SubordinationError
 
 __all__ = [
@@ -105,10 +106,9 @@ def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage:
         for c, g_word in X.face_locations(e):
             if c != carrier:
                 continue
-            g = FacePartition.from_word(g_word)
-            if not _in_box(coords, g):
+            if not _in_box(coords, g_word):
                 continue
-            free_vals = iter(coords[a - 1] for a in sorted(g.free))
+            free_vals = iter(x for x, ch in zip(coords, g_word) if ch == "*")
             results.add(
                 tuple(
                     Fraction(0) if ch == "0" else Fraction(1) if ch == "1" else next(free_vals)
@@ -162,6 +162,7 @@ def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> CrossingProfile:
     """Cut the path domain into one window per chain cube."""
     n = len(chain.cubes)
     vertices = chain.vertex_sequence(X)
+    segs, ends = p.segments, p._time_index[0]
     cuts: list[Fraction] = []
     surfaces: list[MSurface | None] = []
     cur = p.t0
@@ -169,9 +170,9 @@ def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> CrossingProfile:
         cj, cj1 = chain.cubes[j], chain.cubes[j + 1]
         star_vertex = vertices[j + 1]
         found: tuple[Fraction, MSurface | None] | None = None
-        for si, seg in enumerate(p.segments):
-            if seg.t1 < cur:
-                continue
+        # the scan starts at the first segment reaching the previous cut
+        for si in range(bisect_left(ends, cur), len(segs)):
+            seg = segs[si]
             gs = _hosts(X, seg.cube, cj)
             gs1 = _hosts(X, seg.cube, cj1)
             if gs and gs1:
@@ -191,7 +192,7 @@ def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> CrossingProfile:
             # as a direct face further on before the next stage does
             if not gs1:
                 reappears = False
-                for later in p.segments[si + 1 :]:
+                for later in itertools.islice(segs, si + 1, None):
                     if _hosts(X, later.cube, cj):
                         reappears = True
                         break
@@ -226,10 +227,11 @@ def _window_partition(X: CubeSet, p: PLPath, cube: str, a: Fraction, b: Fraction
     ``None`` when the path only touches the stage cube through its boundary
     collar (coordinates then come from the collar retraction).
     """
-    for seg in p.segments:
-        if seg.t1 <= a or seg.t0 >= b:
-            continue
-        gs = _hosts(X, seg.cube, cube)
+    segs = p.segments
+    for si in range(bisect_right(p._time_index[0], a), len(segs)):
+        if segs[si].t0 >= b:
+            break
+        gs = _hosts(X, segs[si].cube, cube)
         if gs:
             return gs[0]
     return None
@@ -260,10 +262,9 @@ def tame_cube(X: CubeSet, p: PLPath, fp: FacePartition, a, b) -> Segment:
     stage.
     """
     a, b = Fraction(a), Fraction(b)
-    segs = [s for s in p.segments if s.t0 <= a and b <= s.t1]
-    if not segs:
+    seg = next((s for s in _segments_at(p, a) if b <= s.t1), None)
+    if seg is None:
         raise PrecubicalError(f"[{a}, {b}] is not inside a single presentation segment")
-    seg = segs[0]
     if fp.n != X.dim(seg.cube):
         raise PrecubicalError("face partition does not match the carrier cube")
     xa, xb = _interp(seg, a), _interp(seg, b)
@@ -289,10 +290,8 @@ def tame_cube(X: CubeSet, p: PLPath, fp: FacePartition, a, b) -> Segment:
 
 
 def _stage_value(X: CubeSet, p: PLPath, stage: str, t: Fraction, prefer_last: bool) -> tuple[Fraction, ...]:
-    segs = [s for s in p.segments if s.t0 <= t <= s.t1]
-    if prefer_last:
-        segs = list(reversed(segs))
-    for seg in segs:
+    segs = _segments_at(p, t)
+    for seg in reversed(segs) if prefer_last else segs:
         f = _stage_coords(X, seg.cube, _interp(seg, t), stage)
         if f is not None:
             return f
@@ -326,10 +325,8 @@ def tame(X: CubeSet, p: PLPath, chain: CubeChain) -> PLPath:
         dens = [hi - lo for lo, hi in zip(fa, fb)]
         if any(d == 0 for d in dens):
             raise SubordinationError(f"degenerate free axis on stage {j}: rescale denominator is zero")
-        times: set[Fraction] = {a, b}
-        times.update(t for t in p.breakpoint_times() if a < t < b)
         pts = []
-        for t in sorted(times):
+        for t in (a, *_times_between(p, a, b), b):
             f = _stage_value(X, p, cube, t, prefer_last=(t == b))
             pts.append((t, tuple((x - lo) / d for x, lo, d in zip(f, fa, dens))))
         out.append(Segment(cube, tuple(pts)))
@@ -356,17 +353,16 @@ def taming_homotopy(X: CubeSet, p: PLPath, chain: CubeChain, s) -> PLPath:
     segments: list[Segment] = []
     for seg in p.segments:
         pts = []
-        for t in times:
-            if seg.t0 <= t <= seg.t1:
-                xp = _interp(seg, t)
-                qpt = evaluate(X, q, t)
-                reps = [coords for c, coords in representatives(X, qpt) if c == seg.cube]
-                if not reps:
-                    raise SubordinationError(
-                        f"tamed point {qpt} has no representative in carrier {seg.cube!r}"
-                    )
-                xq = reps[0]
-                pts.append((t, tuple((1 - s) * c1 + s * c2 for c1, c2 in zip(xp, xq))))
+        for t in times[bisect_left(times, seg.t0) : bisect_right(times, seg.t1)]:
+            xp = _interp(seg, t)
+            qpt = evaluate(X, q, t)
+            reps = [coords for c, coords in representatives(X, qpt) if c == seg.cube]
+            if not reps:
+                raise SubordinationError(
+                    f"tamed point {qpt} has no representative in carrier {seg.cube!r}"
+                )
+            xq = reps[0]
+            pts.append((t, tuple((1 - s) * c1 + s * c2 for c1, c2 in zip(xp, xq))))
         if len(pts) >= 2:
             segments.append(Segment(seg.cube, tuple(pts)))
     result = PLPath(tuple(segments))

@@ -100,7 +100,7 @@ def cmd_nerve(args) -> None:
     if args.covering:
         K = nerve_mod.covering_nerve(None, poset, guarantee=guarantee)
     else:
-        K = nerve_mod.order_complex(poset)
+        K = nerve_mod.order_complex(poset, guarantee=guarantee)
     _write(args, formats.write_complex(K))
 
 

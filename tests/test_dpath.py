@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precubical import (
     KinkSequence,
@@ -21,15 +23,19 @@ from precubical import (
     l1_length,
     naturalize,
     exponential_flow,
+    finest_chain,
     path_to_kinks,
     paths_equal,
     rational_flow,
     reparametrize,
     strictify,
     strictify_homotopy,
+    subordinate_to_collar,
+    tame,
     z_complex,
 )
-from precubical.dpath import path
+from precubical.carrier import canonicalize
+from precubical.dpath import _segments_at, _times_between, path
 
 from helpers import euclidean_path, glued_squares
 
@@ -403,3 +409,76 @@ def test_paths_equal_distinguishes_different_traces_between_breakpoints():
     assert evaluate(Z, through_edge, 1) == evaluate(Z, through_square, 1)
     assert not paths_equal(Z, through_edge, through_square)
     assert paths_equal(Z, through_edge, through_edge)
+
+
+# -- the time index -------------------------------------------------------------
+
+
+def _scan_segments_at(p, t):
+    return tuple(s for s in p.segments if s.t0 <= t <= s.t1)
+
+
+def _scan_point(X, p, t):
+    seg = _scan_segments_at(p, t)[0]
+    for (ta, xa), (tb, xb) in zip(seg.points, seg.points[1:]):
+        if ta <= t <= tb:
+            lam = (t - ta) / (tb - ta)
+            return canonicalize(X, Point(seg.cube, tuple(a + lam * (b - a) for a, b in zip(xa, xb))))
+    raise AssertionError("no piece holds t")
+
+
+_GRIDS = {extent: euclidean([((i, j), (i + 1, j + 1)) for i in range(extent[0]) for j in range(extent[1])])
+          for extent in ((1, 1), (3, 1), (5, 1), (2, 2), (3, 2))}
+
+
+@st.composite
+def _strict_grid_paths(draw):
+    """A strict path from corner to corner of a strip or grid, with waypoints on
+    a 1/6 lattice so that vertex visits and 1/2-crossings at breakpoints occur."""
+    extent = draw(st.sampled_from(sorted(_GRIDS)))
+    steps = draw(st.integers(1, 5))
+    columns = [
+        sorted(draw(st.sets(st.integers(1, 6 * e - 1), min_size=steps, max_size=steps)))
+        for e in extent
+    ]
+    waypoints = [(0, 0)] + [(F(x, 6), F(y, 6)) for x, y in zip(*columns)] + [extent]
+    return _GRIDS[extent], euclidean_path(_GRIDS[extent], waypoints)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_strict_grid_paths())
+def test_time_index_agrees_with_linear_scan(case):
+    X, p = case
+    bts = p.breakpoint_times()
+    times = sorted(set(bts) | {s.t1 for s in p.segments} | {(a + b) / 2 for a, b in zip(bts, bts[1:])})
+    assert times[0] == p.t0 and times[-1] == p.t1
+    for t in times:
+        assert _segments_at(p, t) == _scan_segments_at(p, t)
+        assert evaluate(X, p, t) == _scan_point(X, p, t)
+    for a in times[::3]:
+        for b in times[::2]:
+            assert list(_times_between(p, a, b)) == [t for t in bts if a < t < b]
+    for t in (p.t0 - F(1, 7), p.t1 + F(1, 7)):
+        assert _segments_at(p, t) == ()
+        with pytest.raises(PrecubicalError):
+            evaluate(X, p, t)
+    chain = finest_chain(X, p)
+    assert subordinate_to_collar(X, p, chain)
+    q = tame(X, p, chain)
+    assert paths_equal(X, tame(X, q, chain), q)
+
+
+def test_time_index_is_private_to_the_path():
+    X = two_stacked_squares()
+    p = euclidean_path(X, [(0, 0), (F(1, 3), F(1, 2)), (1, 2)])
+    times = p.breakpoint_times()
+    before, h = evaluate(X, p, F(1, 2)), hash(p)
+    same = euclidean_path(X, [(0, 0), (F(1, 3), F(1, 2)), (1, 2)])
+    # the index is built on p only; equality and hash ignore it
+    assert p == same and hash(same) == h
+    times.append(F(5))
+    times[0] = F(-1)
+    assert p.breakpoint_times() == same.breakpoint_times() != times
+    assert p.breakpoint_times() is not p.breakpoint_times()
+    assert evaluate(X, p, F(1, 2)) == before
+    assert p == same and hash(p) == h and {p: 1}[same] == 1

@@ -172,6 +172,29 @@ def test_flags_propagate():
     assert "no-nerve-lemma-guarantee" in homology(CN).flags
 
 
+def test_order_complex_flags_self_linked_quotient_cubes():
+    # the poset merges the two axis splits of a self-linked cube, so its order
+    # complex can disagree with the signed chain count; the result is flagged
+    for n in (2, 3):
+        Q = q_complex(n)
+        poset = enumerate_chains(Q, "q0_0", f"q0_{n}", n)
+        signed = sum((-1) ** sum(Q.dim(c) - 1 for c in chain.cubes) for chain in poset.objects)
+        K = order_complex(poset, Q)
+        assert K.flags == {"no-nerve-lemma-guarantee"}
+        assert order_complex(poset, guarantee=False) == K
+        assert order_complex(poset).maximal == K.maximal and not order_complex(poset).flags
+        assert "no-nerve-lemma-guarantee" in homology(K).flags
+        if n == 2:
+            assert (euler(K), signed) == (1, 0)
+    for X, a, b, ml in ((boundary_cube(3), "v000", "v111", 3), (z_complex(2), "c0", "c0", 2)):
+        poset = enumerate_chains(X, a, b, ml)
+        proper = X.proper_non_self_linked()
+        assert order_complex(poset, X) == order_complex(poset, guarantee=proper)
+        assert ("no-nerve-lemma-guarantee" in order_complex(poset, X).flags) == (not proper)
+    bd3 = enumerate_chains(boundary_cube(3), "v000", "v111", 3)
+    assert order_complex(bd3, boundary_cube(3)) == order_complex(bd3)
+
+
 def test_covering_nerve_needs_guarantee_or_complex():
     poset = enumerate_chains(full_cube(2), "v00", "v11", 2)
     with pytest.raises(PrecubicalError):

@@ -18,6 +18,7 @@ from precubical import (
     full_cube,
     is_non_self_linked,
     is_proper,
+    order_complex,
     paths_equal,
     validate,
     z_complex,
@@ -32,6 +33,7 @@ from precubical.toolkit import (
     parse_pv,
     pv_to_euclidean,
     write_chain,
+    write_complex,
     write_cubeset,
     write_kinks,
     write_path,
@@ -210,6 +212,23 @@ def test_cli_pipeline_boundary_cube(tmp_path):
     hom = run_cli(["homology"], nerve.stdout)
     assert hom.returncode == 0
     assert json.loads(hom.stdout)["betti"] == [1, 1]
+
+
+def test_cli_order_complex_flags_self_linked_inputs():
+    for n in (2, 3):
+        gen = run_cli(["gen", "q-complex", str(n)])
+        chains = run_cli(["chains", "--from", "q0_0", "--to", f"q0_{n}", "--max-len", str(n)], gen.stdout)
+        nerve = run_cli(["nerve", "--order"], chains.stdout)
+        assert nerve.returncode == 0
+        assert json.loads(nerve.stdout)["flags"] == ["no-nerve-lemma-guarantee"]
+        hom = run_cli(["homology"], nerve.stdout)
+        assert "no-nerve-lemma-guarantee" in json.loads(hom.stdout)["flags"]
+    # a proper input keeps the document it had before the flag existed
+    gen = run_cli(["gen", "boundary-cube", "3"])
+    chains = run_cli(["chains", "--from", "v000", "--to", "v111", "--max-len", "3"], gen.stdout)
+    nerve = run_cli(["nerve", "--order"], chains.stdout)
+    poset = enumerate_chains(boundary_cube(3), "v000", "v111", 3)
+    assert nerve.stdout == write_complex(order_complex(poset))
 
 
 def test_cli_outputs_are_deterministic():
