@@ -31,7 +31,7 @@ __all__ = [
     "representatives",
 ]
 
-HALF = Fraction(1, 2)
+ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -128,17 +128,22 @@ def representatives(X: CubeSet, p: Point) -> list[tuple[str, tuple[Fraction, ...
     of the carrier as an iterated face of a bigger cube, with the interior
     coordinates slotted into the free axes.
     """
-    out: list[tuple[str, tuple[Fraction, ...]]] = []
-    for cube, word in X.face_locations(p.cube):
-        coords: list[Fraction] = []
-        it = iter(p.coords)
-        for ch in word:
-            if ch == "*":
-                coords.append(next(it))
-            else:
-                coords.append(Fraction(int(ch)))
-        out.append((cube, tuple(coords)))
-    return out
+    return [(cube, _embed(word, p.coords)) for cube, word in X.face_locations(p.cube)]
+
+
+def _embed(word: str, interior: Iterable[Fraction]) -> tuple[Fraction, ...]:
+    """The coordinates of a point of the face named by ``word`` in its cube.
+
+    Axes frozen at 0 or 1 take that value; the free axes take ``interior``
+    in order.
+    """
+    it = iter(interior)
+    return tuple(ZERO if ch == "0" else ONE if ch == "1" else next(it) for ch in word)
+
+
+def _coords_in(X: CubeSet, p: Point, cube: str) -> list[tuple[Fraction, ...]]:
+    """The coordinates of every representative of the canonical ``p`` in ``cube``."""
+    return [_embed(word, p.coords) for c, word in X.face_locations(p.cube) if c == cube]
 
 
 def _in_box(coords: tuple[Fraction, ...], word: str) -> bool:
@@ -156,9 +161,8 @@ def in_collar(X: CubeSet, p: Point, cid: str, fp: FacePartition) -> bool:
     """
     if fp.n != X.dim(cid):
         raise PrecubicalError(f"partition over {fp.n} axes applied to {X.dim(cid)}-cube {cid!r}")
-    p = canonicalize(X, p)
     word = fp.word()
-    return any(cube == cid and _in_box(coords, word) for cube, coords in representatives(X, p))
+    return any(_in_box(coords, word) for coords in _coords_in(X, canonicalize(X, p), cid))
 
 
 def _collar_boxes(X: CubeSet, d: str) -> dict[str, list[str]]:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .carrier import HALF, FacePartition, Point, face, in_face_collar, in_star
+from .carrier import HALF, Point, in_face_collar, in_star
 from .cubeset import CubeSet, source_vertex, target_vertex
-from .dpath import PLPath, Segment, _interp, _piece_events, evaluate, is_strict
+from .dpath import PLPath, Segment, _interp, _piece_events, _with_midpoints, evaluate, is_strict
 from .errors import PrecubicalError
 
 __all__ = [
@@ -84,14 +84,18 @@ class _NoCoarsest:
 
 NO_COARSEST = _NoCoarsest()
 
+# a lower face word to the word of its complementary upper face: free axes freeze at 1, 0-axes become free
+_UPPER = str.maketrans("0*", "*1")
+
 
 def elementary_refinements(X: CubeSet, chain: CubeChain) -> list[CubeChain]:
     """All chains arising by splitting one cube into a lower/upper face pair.
 
     Splitting an n-cube along a proper non-empty axis set ``J`` yields the
-    lower face frozen at 0 on ``J``'s complement... more precisely the pair
-    ``(face frozen-at-0 outside J kept on J, face frozen-at-1 on J's complement)``
-    sharing the intermediate vertex.  Results are deduplicated.
+    lower face with word ``0`` on ``J`` and ``*`` elsewhere, followed by the
+    upper face with word ``*`` on ``J`` and ``1`` elsewhere; the two share
+    the intermediate vertex.  Splits are taken cube by cube, ``J`` in
+    lexicographic order by size, and results are deduplicated.
     """
     out: list[CubeChain] = []
     seen: set[tuple[str, ...]] = set()
@@ -99,12 +103,11 @@ def elementary_refinements(X: CubeSet, chain: CubeChain) -> list[CubeChain]:
         n = X.dim(c)
         if n < 2:
             continue
-        axes = list(range(1, n + 1))
+        faces = X.iterated_faces(c)
         for r in range(1, n):
-            for j0 in itertools.combinations(axes, r):
-                comp = [a for a in axes if a not in j0]
-                lower = face(X, c, FacePartition.of_sets(n, j0, comp, ()))
-                upper = face(X, c, FacePartition.of_sets(n, (), j0, comp))
+            for j0 in itertools.combinations(range(n), r):
+                word = "".join("0" if a in j0 else "*" for a in range(n))
+                lower, upper = faces[word], faces[word.translate(_UPPER)]
                 cubes = chain.cubes[:i] + (lower, upper) + chain.cubes[i + 1 :]
                 if cubes not in seen:
                     seen.add(cubes)
@@ -251,44 +254,24 @@ def enumerate_chains(X: CubeSet, source: str, target: str, max_length: int) -> R
 # -- the finest chain of a strict path ---------------------------------------
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """One middle-hyperplane crossing along a strict path.
+def middle_crossings(X: CubeSet, p: PLPath) -> list[tuple[Fraction, str]]:
+    """All crossings of the coordinate-1/2 hyperplanes as ``(time, face)`` pairs.
 
-    Records the presentation segment, the exact time, the axis
-    classification of the segment cube (below / at / above 1/2) and the
-    resulting face.
+    Segment by segment, in time order.  A strict path meets each middle
+    hyperplane of a segment cube at most once.  The face of a crossing has
+    the word ``*`` on the coordinates equal to 1/2 at that time, ``0`` on
+    those below and ``1`` on those above, so simultaneous crossings give a
+    single pair.
     """
-
-    segment: int
-    time: Fraction
-    partition: FacePartition
-    cube: str
-
-
-def middle_crossings(X: CubeSet, p: PLPath) -> list[Crossing]:
-    """All crossings of the coordinate-1/2 hyperplanes, segment by segment.
-
-    A strict path meets each middle hyperplane of a segment cube at most
-    once; simultaneous crossings produce a single record whose free axes
-    are all coordinates equal to 1/2 at that time.
-    """
-    out: list[Crossing] = []
-    for si, seg in enumerate(p.segments):
-        n = X.dim(seg.cube)
-        times: set[Fraction] = set(t for t in _piece_events(seg))
-        for t, coords in seg.points:
-            if any(x == HALF for x in coords):
-                times.add(t)
+    out: list[tuple[Fraction, str]] = []
+    for seg in p.segments:
+        faces = X.iterated_faces(seg.cube)
+        times = set(_piece_events(seg))
+        times.update(t for t, coords in seg.points if HALF in coords)
         for t in sorted(times):
-            coords = _interp(seg, t)
-            frees = frozenset(i + 1 for i, x in enumerate(coords) if x == HALF)
-            if not frees:
-                continue
-            at0 = frozenset(i + 1 for i, x in enumerate(coords) if x < HALF)
-            at1 = frozenset(i + 1 for i, x in enumerate(coords) if x > HALF)
-            fp = FacePartition(n, at0, frees, at1)
-            out.append(Crossing(si, t, fp, face(X, seg.cube, fp)))
+            word = "".join("*" if x == HALF else "0" if x < HALF else "1" for x in _interp(seg, t))
+            if "*" in word:
+                out.append((t, faces[word]))
     return out
 
 
@@ -308,12 +291,10 @@ def finest_chain(X: CubeSet, p: PLPath) -> CubeChain:
     if not start.is_vertex() or not end.is_vertex():
         raise PrecubicalError("finest_chain expects a path between vertices")
     cubes: list[str] = []
-    last: Crossing | None = None
+    last = None
     for crossing in middle_crossings(X, p):
-        if last is not None and crossing.time == last.time and crossing.cube == last.cube:
-            last = crossing
-            continue
-        cubes.append(crossing.cube)
+        if crossing != last:
+            cubes.append(crossing[1])
         last = crossing
     chain = CubeChain(start.cube, end.cube, tuple(cubes))
     chain.validate(X)
@@ -321,15 +302,6 @@ def finest_chain(X: CubeSet, p: PLPath) -> CubeChain:
 
 
 # -- subordination to a collar -------------------------------------------------
-
-
-def _sample_times(p: PLPath) -> list[Fraction]:
-    times: set[Fraction] = set(p.breakpoint_times())
-    for seg in p.segments:
-        times.update(_piece_events(seg))
-    events = sorted(times)
-    mids = [(a + b) / 2 for a, b in zip(events, events[1:])]
-    return sorted(set(events) | set(mids))
 
 
 def subordinate_to_collar(X: CubeSet, p: PLPath, chain: CubeChain) -> bool:
@@ -345,7 +317,7 @@ def subordinate_to_collar(X: CubeSet, p: PLPath, chain: CubeChain) -> bool:
         raise PrecubicalError("path and chain sources differ")
     if p.end_point(X) != Point(chain.target, ()):
         raise PrecubicalError("path and chain targets differ")
-    samples = _sample_times(p)
+    samples = _with_midpoints(itertools.chain(p._time_index[1], *map(_piece_events, p.segments)))
     pts = {t: evaluate(X, p, t) for t in samples}
     n = len(chain.cubes)
     if n == 0:
@@ -397,25 +369,18 @@ def common_refinement_exists(X: CubeSet, chains) -> bool:
     return True
 
 
-def _lower_faces(X: CubeSet, cid: str) -> dict[str, FacePartition]:
-    """Faces of a cube with the same bottom vertex, keyed by id.
+def _lower_faces(X: CubeSet, cid: str) -> dict[str, str]:
+    """Faces of a cube with the same bottom vertex: face id to face word.
 
     On a proper non-self-linked complex each such face id arises from a
-    single partition, so the mapping is well-defined.
+    single word, so the mapping is well-defined.
     """
-    n = X.dim(cid)
-    out: dict[str, FacePartition] = {}
-    for word, fid in X.iterated_faces(cid).items():
-        if "1" not in word:
-            out[fid] = FacePartition.from_word(word)
-    return out
+    return {fid: word for word, fid in X.iterated_faces(cid).items() if "1" not in word}
 
 
-def _split_head(X: CubeSet, chain: CubeChain, lower_id: str, fp: FacePartition) -> CubeChain:
-    """Replace the head cube by the elementary refinement led by ``lower_id``."""
-    head = chain.cubes[0]
-    n = X.dim(head)
-    upper = face(X, head, FacePartition.of_sets(n, (), fp.at0, fp.free))
+def _split_head(X: CubeSet, chain: CubeChain, lower_id: str, word: str) -> CubeChain:
+    """Replace the head cube by the upper face left when ``lower_id`` (named by ``word``) is split off."""
+    upper = X.iterated_faces(chain.cubes[0])[word.translate(_UPPER)]
     return CubeChain(target_vertex(X, lower_id), chain.target, (upper,) + chain.cubes[1:])
 
 
@@ -447,25 +412,26 @@ def _ccr_heads(X: CubeSet, a: CubeChain, b: CubeChain):
         if a.length(X) != b.length(X) or not a.cubes or not b.cubes:
             return None
         ha, hb = a.cubes[0], b.cubes[0]
-        common = set(_lower_faces(X, ha)) & set(_lower_faces(X, hb))
-        common = {d for d in common if X.dim(d) >= 1}
+        lower_a, lower_b = _lower_faces(X, ha), _lower_faces(X, hb)
+        common = {d for d in lower_a.keys() & lower_b.keys() if X.dim(d) >= 1}
         if not common:
             return None
         top = max(X.dim(d) for d in common)
         best = [d for d in common if X.dim(d) == top]
         if len(best) != 1:
-            # properness should preclude this; fall back to the exhaustive route
+            # several largest common lower faces, which proper complexes allow (two
+            # squares sharing both lower edges); fall back to the exhaustive route
             tail = _ccr_brute(X, a, b)
             break
         d = best[0]
         if d == ha:
             a = CubeChain(target_vertex(X, d), a.target, a.cubes[1:])
         else:
-            a = _split_head(X, a, d, _lower_faces(X, ha)[d])
+            a = _split_head(X, a, d, lower_a[d])
         if d == hb:
             b = CubeChain(target_vertex(X, d), b.target, b.cubes[1:])
         else:
-            b = _split_head(X, b, d, _lower_faces(X, hb)[d])
+            b = _split_head(X, b, d, lower_b[d])
         heads.append(d)
     if not heads or tail is None or tail is NO_COARSEST:
         return tail

@@ -24,7 +24,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .carrier import HALF, Point, canonicalize, l1_distance_in_cube, leq_in_cube, representatives
+from .carrier import HALF, Point, _coords_in, canonicalize, l1_distance_in_cube, leq_in_cube
 from .cubeset import CubeSet
 from .errors import PrecubicalError
 
@@ -222,9 +222,17 @@ def paths_equal(X: CubeSet, p: PLPath, q: PLPath) -> bool:
     """
     if (p.t0, p.t1) != (q.t0, q.t1):
         return False
-    times = sorted(set(p.breakpoint_times()) | set(q.breakpoint_times()))
-    times += [(a + b) / 2 for a, b in zip(times, times[1:])]
+    times = _with_midpoints(p._time_index[1] + q._time_index[1])
     return all(evaluate(X, p, t) == evaluate(X, q, t) for t in times)
+
+
+def _with_midpoints(times: Iterable[Fraction]) -> list[Fraction]:
+    """The distinct ``times``, ascending, with the midpoint of each consecutive pair inserted."""
+    ts = sorted(set(times))
+    out = ts[:1]
+    for a, b in zip(ts, ts[1:]):
+        out += ((a + b) / 2, b)
+    return out
 
 
 # -- directedness predicates --------------------------------------------------
@@ -272,17 +280,24 @@ def _piece_carrier(X: CubeSet, p: PLPath, a: Fraction, b: Fraction) -> str | Non
     minimal carrier, so midpoint carriers together with endpoint carriers
     determine containment.  Returns a common coface of minimal dimension.
     """
-    times = [a, *_times_between(p, a, b), b]
-    mids = [(s + t) / 2 for s, t in zip(times, times[1:])]
-    carriers = [evaluate(X, p, t).cube for t in times + mids]
+    times = _with_midpoints([a, *_times_between(p, a, b), b])
+    least = _least_carriers(X, (evaluate(X, p, t).cube for t in times))
+    return least[0] if least else None
+
+
+def _least_carriers(X: CubeSet, cubes: Iterable[str]) -> list[str]:
+    """The common carriers of least dimension of some cubes, sorted; empty if there are none.
+
+    Stops reading ``cubes`` as soon as the common carriers run out.
+    """
     common: set[str] | None = None
-    for c in carriers:
+    for c in cubes:
         cof = set(X.carriers_of(c))
         common = cof if common is None else common & cof
         if not common:
-            return None
-    assert common
-    return min(common, key=lambda c: (X.dim(c), c))
+            return []
+    least = min(X.dim(c) for c in common)
+    return sorted(c for c in common if X.dim(c) == least)
 
 
 def is_tame(X: CubeSet, p: PLPath) -> tuple[bool, tuple[Fraction, ...] | None]:
@@ -451,11 +466,7 @@ def strictify_homotopy(X: CubeSet, p: PLPath, s, flow: str = "rational", samples
 
 def l1_length(X: CubeSet, p: PLPath) -> Fraction:
     """Total Manhattan length: the sum of coordinate increments."""
-    total = Fraction(0)
-    for seg in p.segments:
-        for (_, a), (_, b) in zip(seg.points, seg.points[1:]):
-            total += sum((y - x for x, y in zip(a, b)), Fraction(0))
-    return total
+    return _cumulative_length(p)[-1][-1]
 
 
 def _cumulative_length(p: PLPath) -> list[list[Fraction]]:
@@ -477,10 +488,10 @@ def naturalize(X: CubeSet, p: PLPath) -> PLPath:
     Pauses (zero-length stretches) are dropped; the result has constant
     speed and the same trace.  Idempotent on already-natural paths.
     """
-    total = l1_length(X, p)
+    cums = _cumulative_length(p)
+    total = cums[-1][-1]
     if total == 0:
         return p.normalized()
-    cums = _cumulative_length(p)
     segments: list[Segment] = []
     for seg, cum in zip(p.segments, cums):
         pts: list[Breakpoint] = []
@@ -522,11 +533,11 @@ class KinkSequence:
 
 def _check_natural(X: CubeSet, p: PLPath) -> Fraction:
     """Return the integral length of a constant-speed path, or raise."""
-    total = l1_length(X, p)
+    cums = _cumulative_length(p)
+    total = cums[-1][-1]
     if total.denominator != 1 or total == 0:
         raise PrecubicalError(f"path length {total} is not a positive integer")
     span = p.t1 - p.t0
-    cums = _cumulative_length(p)
     for seg, cum in zip(p.segments, cums):
         for (t, _), c in zip(seg.points, cum):
             if c * span != (t - p.t0) * total:
@@ -548,18 +559,16 @@ def path_to_kinks(X: CubeSet, p: PLPath) -> KinkSequence:
 
 
 def _minimal_common_cube(X: CubeSet, a: Point, b: Point) -> str:
-    common = set(X.carriers_of(a.cube)) & set(X.carriers_of(b.cube))
-    if not common:
+    minimal = _least_carriers(X, (a.cube, b.cube))
+    if not minimal:
         raise PrecubicalError(f"kink points {a} and {b} share no cube")
-    least = min(X.dim(c) for c in common)
-    minimal = sorted(c for c in common if X.dim(c) == least)
     if len(minimal) != 1:
         raise PrecubicalError(f"minimal common cube of {a} and {b} is not unique: {minimal}")
     return minimal[0]
 
 
 def _rep_in(X: CubeSet, p: Point, cube: str) -> tuple[Fraction, ...]:
-    reps = [coords for c, coords in representatives(X, p) if c == cube]
+    reps = _coords_in(X, p, cube)
     if not reps:
         raise PrecubicalError(f"{p} has no representative in {cube!r}")
     if len(set(reps)) != 1:

@@ -19,6 +19,7 @@ Homology* (2004).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Sequence
@@ -232,19 +233,13 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
         for k in range(len(diag) - 1):
             x, y = diag[k], diag[k + 1]
             if x and y % x != 0:
-                g = _gcd(x, y)
+                g = math.gcd(x, y)
                 diag[k], diag[k + 1] = g, x * y // g
                 changed = True
             elif x == 0 and y != 0:
                 diag[k], diag[k + 1] = y, x
                 changed = True
     return [d for d in diag if d != 0] + [0] * sum(1 for d in diag if d == 0)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .carrier import FacePartition, Point, _in_box, canonicalize, in_star, representatives
+from .carrier import FacePartition, Point, _coords_in, _embed, _in_box, canonicalize, in_star
 from .chains import CubeChain
 from .cubeset import CubeSet
 from .dpath import PLPath, Segment, _interp, _segments_at, _times_between, evaluate, is_strict
@@ -71,9 +71,14 @@ class CrossingProfile:
     windows: tuple[tuple[Fraction, Fraction], ...]
 
 
-def _hosts(X: CubeSet, carrier: str, cube: str) -> list[FacePartition]:
-    """Embeddings of ``cube`` as an iterated face of ``carrier`` (or itself)."""
-    return [FacePartition.from_word(w) for c, w in X.face_locations(cube) if c == carrier]
+def _hosts(X: CubeSet, carrier: str, cube: str) -> list[str]:
+    """The face words embedding ``cube`` as an iterated face of ``carrier`` (or itself)."""
+    return [w for c, w in X.face_locations(cube) if c == carrier]
+
+
+def _free(word: str, coords) -> tuple:
+    """The entries of ``coords`` on the free axes of ``word``."""
+    return tuple(x for x, ch in zip(coords, word) if ch == "*")
 
 
 def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage: str) -> tuple[Fraction, ...] | None:
@@ -89,32 +94,19 @@ def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage:
     """
     direct = _hosts(X, carrier, stage)
     if direct:
-        g = direct[0]
-        return tuple(coords[a - 1] for a in sorted(g.free))
-    point = canonicalize(X, Point(carrier, coords))
-    for h_word, e in sorted(X.iterated_faces(stage).items()):
-        if e == point.cube and e != stage:
-            it = iter(point.coords)
-            return tuple(
-                Fraction(0) if ch == "0" else Fraction(1) if ch == "1" else next(it)
-                for ch in h_word
-            )
+        return _free(direct[0], coords)
+    # the carrier does not host the stage, so a canonical cube that is a face
+    # of the stage is a proper one
+    on_boundary = _coords_in(X, canonicalize(X, Point(carrier, coords)), stage)
+    if on_boundary:
+        return on_boundary[0]
     results = set()
     for h_word, e in sorted(X.iterated_faces(stage).items()):
         if e == stage:
             continue
-        for c, g_word in X.face_locations(e):
-            if c != carrier:
-                continue
-            if not _in_box(coords, g_word):
-                continue
-            free_vals = iter(x for x, ch in zip(coords, g_word) if ch == "*")
-            results.add(
-                tuple(
-                    Fraction(0) if ch == "0" else Fraction(1) if ch == "1" else next(free_vals)
-                    for ch in h_word
-                )
-            )
+        for g_word in _hosts(X, carrier, e):
+            if _in_box(coords, g_word):
+                results.add(_embed(h_word, _free(g_word, coords)))
     if len(results) == 1:
         return results.pop()
     if len(results) > 1:
@@ -177,7 +169,7 @@ def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> CrossingProfile:
             gs1 = _hosts(X, seg.cube, cj1)
             if gs and gs1:
                 for g, g1 in itertools.product(gs, gs1):
-                    surf = MSurface(seg.cube, tuple(sorted(g.free)), tuple(sorted(g1.free)))
+                    surf = MSurface(seg.cube, _free(g, itertools.count(1)), _free(g1, itertools.count(1)))
                     root = _m_root_in_segment(seg, surf, max(cur, seg.t0), seg.t1)
                     if root is not None and in_star(X, evaluate(X, p, root), star_vertex):
                         found = (root, surf)
@@ -233,7 +225,7 @@ def _window_partition(X: CubeSet, p: PLPath, cube: str, a: Fraction, b: Fraction
             break
         gs = _hosts(X, segs[si].cube, cube)
         if gs:
-            return gs[0]
+            return FacePartition.from_word(gs[0])
     return None
 
 
@@ -356,7 +348,7 @@ def taming_homotopy(X: CubeSet, p: PLPath, chain: CubeChain, s) -> PLPath:
         for t in times[bisect_left(times, seg.t0) : bisect_right(times, seg.t1)]:
             xp = _interp(seg, t)
             qpt = evaluate(X, q, t)
-            reps = [coords for c, coords in representatives(X, qpt) if c == seg.cube]
+            reps = _coords_in(X, qpt, seg.cube)
             if not reps:
                 raise SubordinationError(
                     f"tamed point {qpt} has no representative in carrier {seg.cube!r}"

@@ -89,8 +89,8 @@ def cmd_chains(args) -> None:
     doc = json.loads(text)
     source = args.source or doc.get("start")
     target = args.target or doc.get("end")
-    if not source or not target:
-        raise FormatError("need --from/--to (or a cubeset with embedded start/end)")
+    if not (source and target and isinstance(source, str) and isinstance(target, str)):
+        raise FormatError("need --from/--to (or a cubeset with embedded start/end ids)")
     poset = chains_mod.enumerate_chains(X, source, target, args.max_len)
     _write(args, formats.write_poset(poset, proper_non_self_linked=X.proper_non_self_linked()))
 

@@ -85,10 +85,27 @@ def _rational_str(x: Fraction) -> str:
     return str(x)
 
 
-def _expect(doc: dict, key: str, where: str) -> Any:
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def _shaped(value: Any, kind: type, where: str) -> Any:
+    """``value`` if it is a JSON value of ``kind``; booleans and other numbers are not integers."""
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise FormatError(f"{where}: expected {_JSON_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
+def _items(value: Any, kind: type, where: str) -> list:
+    """``value`` if it is a JSON list of values of ``kind``."""
+    for k, item in enumerate(_shaped(value, list, where)):
+        _shaped(item, kind, f"{where}[{k}]")
+    return value
+
+
+def _expect(doc: dict, key: str, where: str, kind: type | None = None) -> Any:
     if key not in doc:
         raise FormatError(f"{where}: missing key {key!r}")
-    return doc[key]
+    return doc[key] if kind is None else _shaped(doc[key], kind, f"{where} {key!r}")
 
 
 # -- cubeset -------------------------------------------------------------------
@@ -96,22 +113,21 @@ def _expect(doc: dict, key: str, where: str) -> Any:
 
 def parse_cubeset(text: str, check: bool = True) -> CubeSet:
     doc = loads(text)
-    entries = _expect(doc, "cubes", "cubeset")
-    if not isinstance(entries, list):
-        raise FormatError("cubeset: 'cubes' must be a list")
+    entries = _items(_expect(doc, "cubes", "cubeset"), dict, "cubeset 'cubes'")
     cubes: dict[str, int] = {}
     faces: dict[str, dict[tuple[int, int], str]] = {}
     for k, entry in enumerate(entries):
-        where = f"cubeset cube #{k}"
-        cid = _expect(entry, "id", where)
-        dim = _expect(entry, "dim", where)
-        if not isinstance(cid, str) or not isinstance(dim, int) or dim < 0:
-            raise FormatError(f"{where}: bad id or dim")
+        where = f"cubeset 'cubes'[{k}]"
+        cid = _expect(entry, "id", where, str)
+        dim = _expect(entry, "dim", where, int)
+        if dim < 0:
+            raise FormatError(f"{where}: negative dim {dim}")
         if cid in cubes:
             raise FormatError(f"{where}: duplicate id {cid!r}")
         cubes[cid] = dim
         table: dict[tuple[int, int], str] = {}
-        for key, fid in entry.get("faces", {}).items():
+        for key, fid in _shaped(entry.get("faces", {}), dict, f"{where} 'faces'").items():
+            _shaped(fid, str, f"{where} face {key!r}")
             try:
                 alpha_s, i_s = key.removeprefix("d").split("_")
                 alpha, i = int(alpha_s), int(i_s)
@@ -150,17 +166,16 @@ def write_cubeset(X: CubeSet, extra: dict | None = None) -> str:
 
 def parse_path(text: str, X: CubeSet | None = None) -> PLPath:
     doc = loads(text)
-    segs_doc = _expect(doc, "segments", "path")
-    if not isinstance(segs_doc, list) or not segs_doc:
+    segs_doc = _items(_expect(doc, "segments", "path"), dict, "path 'segments'")
+    if not segs_doc:
         raise FormatError("path: 'segments' must be a non-empty list")
     segments = []
     for k, seg in enumerate(segs_doc):
-        where = f"path segment #{k}"
-        cube = _expect(seg, "cube", where)
-        bps = _expect(seg, "breakpoints", where)
+        where = f"path 'segments'[{k}]"
+        cube = _expect(seg, "cube", where, str)
         points = []
-        for bp in bps:
-            if not isinstance(bp, list) or len(bp) != 2:
+        for bp in _expect(seg, "breakpoints", where, list):
+            if not isinstance(bp, list) or len(bp) != 2 or not isinstance(bp[1], list):
                 raise FormatError(f"{where}: breakpoints must be [t, [coords]] pairs")
             t = _rational(bp[0], where)
             coords = tuple(_rational(x, where) for x in bp[1])
@@ -209,9 +224,9 @@ def write_path(p: PLPath, X: CubeSet | None = None) -> str:
 def parse_chain(text: str, X: CubeSet | None = None) -> CubeChain:
     doc = loads(text)
     chain = CubeChain(
-        _expect(doc, "from", "chain"),
-        _expect(doc, "to", "chain"),
-        tuple(_expect(doc, "cubes", "chain")),
+        _expect(doc, "from", "chain", str),
+        _expect(doc, "to", "chain", str),
+        tuple(_items(_expect(doc, "cubes", "chain"), str, "chain 'cubes'")),
     )
     if X is not None:
         try:
@@ -229,12 +244,17 @@ def parse_poset(text: str) -> tuple[RefinementPoset, bool]:
     """Returns the poset plus whether the source complex carried the
     nerve-lemma guarantee (proper and non-self-linked)."""
     doc = loads(text)
-    source = _expect(doc, "from", "poset")
-    target = _expect(doc, "to", "poset")
+    source = _expect(doc, "from", "poset", str)
+    target = _expect(doc, "to", "poset", str)
     objects = tuple(
-        CubeChain(source, target, tuple(cubes)) for cubes in _expect(doc, "objects", "poset")
+        CubeChain(source, target, tuple(_items(cubes, str, f"poset 'objects'[{k}]")))
+        for k, cubes in enumerate(_items(_expect(doc, "objects", "poset"), list, "poset 'objects'"))
     )
-    covers = tuple((int(a), int(b)) for a, b in _expect(doc, "covers", "poset"))
+    covers = []
+    for k, cover in enumerate(_items(_expect(doc, "covers", "poset"), list, "poset 'covers'")):
+        if len(_items(cover, int, f"poset 'covers'[{k}]")) != 2:
+            raise FormatError(f"poset 'covers'[{k}]: expected a [coarser, finer] pair, got {cover!r:.40}")
+        covers.append(tuple(cover))
     # order_complex and covering_nerve rely on covers being distinct one-cube refinements
     for a, b in covers:
         if not (0 <= a < len(objects) and 0 <= b < len(objects)) or len(objects[b]) != len(objects[a]) + 1:
@@ -245,11 +265,11 @@ def parse_poset(text: str) -> tuple[RefinementPoset, bool]:
         source,
         target,
         objects,
-        covers,
-        bool(_expect(doc, "truncated", "poset")),
-        int(_expect(doc, "max_length", "poset")),
+        tuple(covers),
+        _expect(doc, "truncated", "poset", bool),
+        _expect(doc, "max_length", "poset", int),
     )
-    return poset, bool(doc.get("proper_non_self_linked", True))
+    return poset, _shaped(doc.get("proper_non_self_linked", True), bool, "poset 'proper_non_self_linked'")
 
 
 def write_poset(poset: RefinementPoset, proper_non_self_linked: bool = True) -> str:
@@ -272,10 +292,10 @@ def write_poset(poset: RefinementPoset, proper_non_self_linked: bool = True) -> 
 def parse_kinks(text: str, X: CubeSet | None = None) -> KinkSequence:
     doc = loads(text)
     pts = []
-    for k, entry in enumerate(_expect(doc, "points", "kinks")):
-        where = f"kink point #{k}"
-        cube = _expect(entry, "cube", where)
-        coords = tuple(_rational(x, where) for x in _expect(entry, "coords", where))
+    for k, entry in enumerate(_items(_expect(doc, "points", "kinks"), dict, "kinks 'points'")):
+        where = f"kinks 'points'[{k}]"
+        cube = _expect(entry, "cube", where, str)
+        coords = tuple(_rational(x, where) for x in _expect(entry, "coords", where, list))
         pts.append(Point(cube, coords))
     ks = KinkSequence(tuple(pts))
     if X is not None:
@@ -302,10 +322,11 @@ def write_kinks(ks: KinkSequence) -> str:
 
 def parse_complex(text: str) -> SimplicialComplex:
     doc = loads(text)
+    simplices = _items(_expect(doc, "maximal_simplices", "complex"), list, "complex 'maximal_simplices'")
     return SimplicialComplex(
-        tuple(_expect(doc, "vertices", "complex")),
-        tuple(tuple(int(v) for v in s) for s in _expect(doc, "maximal_simplices", "complex")),
-        frozenset(doc.get("flags", [])),
+        tuple(_expect(doc, "vertices", "complex", list)),
+        tuple(tuple(_items(s, int, f"complex 'maximal_simplices'[{k}]")) for k, s in enumerate(simplices)),
+        frozenset(_items(doc.get("flags", []), str, "complex 'flags'")),
     )
 
 
@@ -321,10 +342,11 @@ def write_complex(K: SimplicialComplex) -> str:
 
 def parse_homology(text: str) -> HomologyResult:
     doc = loads(text)
+    torsion = _items(_expect(doc, "torsion", "homology"), list, "homology 'torsion'")
     return HomologyResult(
-        tuple(int(b) for b in _expect(doc, "betti", "homology")),
-        tuple(tuple(int(t) for t in ts) for ts in _expect(doc, "torsion", "homology")),
-        frozenset(doc.get("flags", [])),
+        tuple(_items(_expect(doc, "betti", "homology"), int, "homology 'betti'")),
+        tuple(tuple(_items(ts, int, f"homology 'torsion'[{k}]")) for k, ts in enumerate(torsion)),
+        frozenset(_items(doc.get("flags", []), str, "homology 'flags'")),
     )
 
 

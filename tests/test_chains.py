@@ -9,6 +9,7 @@ import pytest
 from precubical import (
     NO_COARSEST,
     CubeChain,
+    CubeSet,
     PrecubicalError,
     boundary_cube,
     chain_diagonal,
@@ -24,8 +25,10 @@ from precubical import (
     refinement_set,
     refines,
     subordinate_to_collar,
+    validate,
     z_complex,
 )
+from precubical import chains as chains_mod
 from precubical.chains import _ccr_brute
 from precubical.dpath import path
 
@@ -227,6 +230,31 @@ def test_ccr_recursive_matches_brute_force():
                 fast = coarsest_common_refinement(X, a, b)
                 slow = _ccr_brute(X, a, b)
                 assert fast == slow or fast is slow
+
+
+def test_ccr_falls_back_when_heads_share_two_largest_lower_faces(monkeypatch):
+    # squares S1: v -> t1 and S2: v -> t2 share both lower edges e1: v -> a
+    # and e2: v -> b; each top continues by one edge to w
+    cubes = {v: 0 for v in ("v", "a", "b", "t1", "t2", "w")}
+    faces = {"e1": ("v", "a"), "e2": ("v", "b"), "g1": ("t1", "w"), "g2": ("t2", "w")}
+    for k in ("1", "2"):
+        faces[f"f{k}a"] = ("a", f"t{k}")
+        faces[f"f{k}b"] = ("b", f"t{k}")
+    faces = {e: {(1, 0): lo, (1, 1): hi} for e, (lo, hi) in faces.items()}
+    cubes.update({e: 1 for e in faces})
+    for k in ("1", "2"):
+        cubes[f"S{k}"] = 2
+        faces[f"S{k}"] = {(1, 0): "e2", (2, 0): "e1", (1, 1): f"f{k}a", (2, 1): f"f{k}b"}
+    X = CubeSet(cubes, faces)
+    assert validate(X) == [] and X.proper_non_self_linked()
+    a = chain("v", "w", "S1", "g1")
+    b = chain("v", "w", "S2", "g2")
+    brute_calls = []
+    monkeypatch.setattr(chains_mod, "_ccr_brute", lambda *args: brute_calls.append(args) or _ccr_brute(*args))
+    assert coarsest_common_refinement(X, a, b) is None
+    assert brute_calls == [(X, a, b)]
+    assert _ccr_brute(X, a, b) is None
+    assert not common_refinement_exists(X, [a, b])
 
 
 def test_ccr_on_a_long_strip_needs_no_recursion():

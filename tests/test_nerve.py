@@ -365,3 +365,30 @@ def test_sparse_homology_finds_torsion_above_degree_one():
     h = _check_against_dense(SimplicialComplex(tuple("abcdefgh"), suspension))
     assert h.betti == (1, 0, 0, 0)
     assert h.torsion == ((), (), (2,), ())
+
+
+# -- the three routes on random grids --------------------------------------------------
+
+
+@st.composite
+def _random_grid_complexes(draw):
+    """Unit squares of a small grid: the two corner squares plus a random subset of the rest."""
+    w, h = draw(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)]))
+    corners = [(0, 0), (w - 1, h - 1)]
+    rest = [(i, j) for i in range(w) for j in range(h) if (i, j) not in corners]
+    keep = draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+    squares = corners + [sq for sq, k in zip(rest, keep) if k]
+    X = euclidean([((i, j), (i + 1, j + 1)) for i, j in squares])
+    return X, "0,0|0,0", f"{w},{h}|{w},{h}", w + h
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_random_grid_complexes())
+def test_order_complex_covering_nerve_and_chain_count_agree(case):
+    X, source, target, length = case
+    poset = enumerate_chains(X, source, target, length)
+    assert not poset.truncated
+    K = order_complex(poset, X)
+    assert homology(K).equivalent(homology(covering_nerve(X, poset)))
+    signed = sum((-1) ** sum(X.dim(c) - 1 for c in chain.cubes) for chain in poset.objects)
+    assert euler(K) == signed

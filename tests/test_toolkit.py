@@ -128,6 +128,14 @@ def test_parse_poset_rejects_covers_that_do_not_add_one_cube():
             parse_poset(json.dumps({**doc, "covers": covers}))
 
 
+def test_parse_poset_accepts_only_integer_cover_indices():
+    doc = json.loads(write_poset(enumerate_chains(boundary_cube(3), "v000", "v111", 3)))
+    a, b = doc["covers"][0]
+    for bad in ([a, b + 0.9], [a, float(b)], [a, str(b)], [True, b]):
+        with pytest.raises(FormatError, match=r"poset 'covers'\[0\]"):
+            parse_poset(json.dumps({**doc, "covers": [bad] + doc["covers"][1:]}))
+
+
 def test_kinks_round_trip():
     C3 = full_cube(3)
     ks = KinkSequence(
@@ -312,6 +320,35 @@ def test_cli_exit_codes(tmp_path):
     # missing file -> 2
     r = run_cli(["pv", "build", str(tmp_path / "missing.pv")])
     assert r.returncode == 2
+
+
+_POSET_DOC = json.loads(write_poset(enumerate_chains(boundary_cube(3), "v000", "v111", 3)))
+
+
+@pytest.mark.parametrize(
+    "command, doc, names",
+    [
+        (["homology"], {"vertices": ["a"], "maximal_simplices": [["x"]]}, "complex 'maximal_simplices'[0][0]"),
+        (["homology"], {"vertices": ["a"], "maximal_simplices": 5}, "complex 'maximal_simplices'"),
+        (["nerve", "--order"], {**_POSET_DOC, "covers": [[0]]}, "poset 'covers'[0]"),
+        (["nerve", "--order"], {**_POSET_DOC, "objects": 5}, "poset 'objects'"),
+        (["nerve", "--order"], {**_POSET_DOC, "max_length": "x"}, "poset 'max_length'"),
+        (["check"], {"cubes": [5]}, "cubeset 'cubes'[0]"),
+        (["check"], {"cubes": [{"id": "e", "dim": 1, "faces": ["v0", "v1"]}]}, "cubeset 'cubes'[0] 'faces'"),
+    ],
+    ids=["simplex-entry", "simplices", "cover", "objects", "max-length", "cube", "faces"],
+)
+def test_cli_malformed_documents_give_a_one_line_error(command, doc, names):
+    r = run_cli(command, json.dumps(doc))
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: {names}: expected ") and r.stderr.count("\n") == 1, r.stderr
+
+
+def test_cli_chains_rejects_an_embedded_start_that_is_not_an_id():
+    doc = {**json.loads(write_cubeset(full_cube(2))), "start": ["v00"], "end": "v11"}
+    r = run_cli(["chains", "--max-len", "2"], json.dumps(doc))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: need --from/--to") and r.stderr.count("\n") == 1, r.stderr
 
 
 def test_cli_output_and_input_flags(tmp_path):
