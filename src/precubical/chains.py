@@ -84,34 +84,25 @@ class _NoCoarsest:
 
 NO_COARSEST = _NoCoarsest()
 
-# a lower face word to the word of its complementary upper face: free axes freeze at 1, 0-axes become free
-_UPPER = str.maketrans("0*", "*1")
-
-
 def elementary_refinements(X: CubeSet, chain: CubeChain) -> list[CubeChain]:
     """All chains arising by splitting one cube into a lower/upper face pair.
 
     Splitting an n-cube along a proper non-empty axis set ``J`` yields the
     lower face with word ``0`` on ``J`` and ``*`` elsewhere, followed by the
     upper face with word ``*`` on ``J`` and ``1`` elsewhere; the two share
-    the intermediate vertex.  Splits are taken cube by cube, ``J`` in
-    lexicographic order by size, and results are deduplicated.
+    the intermediate vertex.  The pairs are read from the complex's cached
+    split table.  Splits are taken cube by cube, ``J`` in lexicographic
+    order by size, and results are deduplicated.
     """
     out: list[CubeChain] = []
     seen: set[tuple[str, ...]] = set()
     for i, c in enumerate(chain.cubes):
-        n = X.dim(c)
-        if n < 2:
-            continue
-        faces = X.iterated_faces(c)
-        for r in range(1, n):
-            for j0 in itertools.combinations(range(n), r):
-                word = "".join("0" if a in j0 else "*" for a in range(n))
-                lower, upper = faces[word], faces[word.translate(_UPPER)]
-                cubes = chain.cubes[:i] + (lower, upper) + chain.cubes[i + 1 :]
-                if cubes not in seen:
-                    seen.add(cubes)
-                    out.append(CubeChain(chain.source, chain.target, cubes))
+        head, tail = chain.cubes[:i], chain.cubes[i + 1 :]
+        for split in X._splits_of(c):
+            cubes = head + split + tail
+            if cubes not in seen:
+                seen.add(cubes)
+                out.append(CubeChain(chain.source, chain.target, cubes))
     return out
 
 
@@ -236,19 +227,22 @@ def enumerate_chains(X: CubeSet, source: str, target: str, max_length: int) -> R
             if length + d > max_length:
                 truncated = True
             else:
-                stack.append((target_vertex(X, c), cubes + (c,), length + d))
-    objects = tuple(
-        CubeChain(source, target, cubes)
-        for cubes in sorted(set(found), key=lambda cs: (len(cs), cs))
-    )
-    index = {c.cubes: i for i, c in enumerate(objects)}
+                stack.append((X._targets[c], cubes + (c,), length + d))
+    found = sorted(set(found), key=lambda cs: (len(cs), cs))
+    # covers on cube-id tuples: object i splits its cube k along each pair of the split table
+    index = {cubes: i for i, cubes in enumerate(found)}
     covers: list[tuple[int, int]] = []
-    for i, chain in enumerate(objects):
-        for r in elementary_refinements(X, chain):
-            j = index.get(r.cubes)
-            if j is not None:
-                covers.append((i, j))
-    return RefinementPoset(source, target, objects, tuple(sorted(covers)), truncated, max_length)
+    for i, cubes in enumerate(found):
+        finer: set[int] = set()
+        for k, c in enumerate(cubes):
+            head, tail = cubes[:k], cubes[k + 1 :]
+            for split in X._splits_of(c):
+                j = index.get(head + split + tail)
+                if j is not None:
+                    finer.add(j)
+        covers.extend((i, j) for j in sorted(finer))
+    objects = tuple(CubeChain(source, target, cubes) for cubes in found)
+    return RefinementPoset(source, target, objects, tuple(covers), truncated, max_length)
 
 
 # -- the finest chain of a strict path ---------------------------------------
@@ -369,21 +363,6 @@ def common_refinement_exists(X: CubeSet, chains) -> bool:
     return True
 
 
-def _lower_faces(X: CubeSet, cid: str) -> dict[str, str]:
-    """Faces of a cube with the same bottom vertex: face id to face word.
-
-    On a proper non-self-linked complex each such face id arises from a
-    single word, so the mapping is well-defined.
-    """
-    return {fid: word for word, fid in X.iterated_faces(cid).items() if "1" not in word}
-
-
-def _split_head(X: CubeSet, chain: CubeChain, lower_id: str, word: str) -> CubeChain:
-    """Replace the head cube by the upper face left when ``lower_id`` (named by ``word``) is split off."""
-    upper = X.iterated_faces(chain.cubes[0])[word.translate(_UPPER)]
-    return CubeChain(target_vertex(X, lower_id), chain.target, (upper,) + chain.cubes[1:])
-
-
 def coarsest_common_refinement(X: CubeSet, a: CubeChain, b: CubeChain):
     """The coarsest common refinement of two chains, if one exists.
 
@@ -401,8 +380,12 @@ def coarsest_common_refinement(X: CubeSet, a: CubeChain, b: CubeChain):
 
 
 def _ccr_heads(X: CubeSet, a: CubeChain, b: CubeChain):
-    # split off the largest common lower face of the two head cubes until the
-    # chains agree; the result is those heads followed by the agreed tail
+    """Split off the largest common lower face of the two head cubes until the chains agree.
+
+    The result is those split-off faces followed by the agreed tail.  The
+    lower faces of a head cube and what is left after each are read from
+    the split table (:func:`_head_splits`).
+    """
     source, target = a.source, a.target
     heads: list[str] = []
     while True:
@@ -411,9 +394,8 @@ def _ccr_heads(X: CubeSet, a: CubeChain, b: CubeChain):
             break
         if a.length(X) != b.length(X) or not a.cubes or not b.cubes:
             return None
-        ha, hb = a.cubes[0], b.cubes[0]
-        lower_a, lower_b = _lower_faces(X, ha), _lower_faces(X, hb)
-        common = {d for d in lower_a.keys() & lower_b.keys() if X.dim(d) >= 1}
+        rest_a, rest_b = _head_splits(X, a), _head_splits(X, b)
+        common = rest_a.keys() & rest_b.keys()
         if not common:
             return None
         top = max(X.dim(d) for d in common)
@@ -424,18 +406,26 @@ def _ccr_heads(X: CubeSet, a: CubeChain, b: CubeChain):
             tail = _ccr_brute(X, a, b)
             break
         d = best[0]
-        if d == ha:
-            a = CubeChain(target_vertex(X, d), a.target, a.cubes[1:])
-        else:
-            a = _split_head(X, a, d, lower_a[d])
-        if d == hb:
-            b = CubeChain(target_vertex(X, d), b.target, b.cubes[1:])
-        else:
-            b = _split_head(X, b, d, lower_b[d])
+        middle = target_vertex(X, d)
+        a, b = CubeChain(middle, a.target, rest_a[d]), CubeChain(middle, b.target, rest_b[d])
         heads.append(d)
     if not heads or tail is None or tail is NO_COARSEST:
         return tail
     return CubeChain(source, target, tuple(heads) + tail.cubes)
+
+
+def _head_splits(X: CubeSet, chain: CubeChain) -> dict[str, tuple[str, ...]]:
+    """Each positive-dimensional lower face of the head cube, mapped to the cubes left after it.
+
+    Read from the split table as ``{lower: upper}``, plus the head cube
+    itself, after which only the tail is left.  On a proper non-self-linked
+    complex each lower face comes from one split, so the mapping is
+    well-defined.
+    """
+    head, tail = chain.cubes[0], chain.cubes[1:]
+    rest = {lower: (upper,) + tail for lower, upper in X._splits_of(head)}
+    rest[head] = tail
+    return rest
 
 
 def _ccr_brute(X: CubeSet, a: CubeChain, b: CubeChain):

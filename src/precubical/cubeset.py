@@ -64,11 +64,14 @@ class CubeSet:
         for cid, d in self._dims.items():
             if d < 0:
                 raise PrecubicalError(f"cube {cid!r} has negative dimension {d}")
-        # lazily built indexes
+        # lazily built indexes; the split table (cube -> its (lower, upper) face
+        # pairs, see _splits_of) serves every refinement consumer in chains
         self._iterated: dict[str, dict[str, str]] = {}
+        self._splits: dict[str, tuple[tuple[str, str], ...]] = {}
         self._locations: dict[str, list[tuple[str, str]]] | None = None
         self._collars: dict[str, dict[str, list[str]]] = {}  # filled by carrier._collar_boxes
         self._by_source: dict[str, tuple[str, ...]] | None = None
+        self._targets: dict[str, str] = {}  # filled with the cubes_from index
         self._proper_nsl: bool | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -132,13 +135,47 @@ class CubeSet:
         return cur
 
     def iterated_faces(self, cid: str) -> dict[str, str]:
-        """All iterated faces of a cube, keyed by face word (self included)."""
+        """All iterated faces of a cube, keyed by face word (self included).
+
+        Words come in the order of ``itertools.product("0*1", repeat=dim)``.
+        The table is built one axis at a time from the highest down, as
+        :meth:`iterated_face` applies them: each level maps the word suffixes
+        seen so far to their faces, so every face map is applied once per
+        shared suffix rather than once per word.
+        """
         cached = self._iterated.get(cid)
         if cached is not None:
             return cached
-        words = map("".join, itertools.product("0*1", repeat=self.dim(cid)))
-        table = {word: self.iterated_face(cid, word) for word in words}
+        table = {"": cid}
+        for i in range(self.dim(cid), 0, -1):
+            table = {
+                ch + suffix: cube if ch == "*" else self.face(cube, i, int(ch))
+                for ch in "0*1"
+                for suffix, cube in table.items()
+            }
         self._iterated[cid] = table
+        return table
+
+    def _splits_of(self, cid: str) -> tuple[tuple[str, str], ...]:
+        """The ``(lower, upper)`` face pairs that split a cube along each proper non-empty axis set J.
+
+        The lower face has the word ``0`` on J and ``*`` elsewhere, the upper
+        face ``*`` on J and ``1`` elsewhere, so the two meet at one vertex.  J
+        runs by size, then lexicographically.  Pairs are not deduplicated: a
+        self-linked cube can repeat one.
+        """
+        cached = self._splits.get(cid)
+        if cached is not None:
+            return cached
+        faces = self.iterated_faces(cid)
+        n = self._dims[cid]
+        words = (
+            "".join("0" if a in J else "*" for a in range(n))
+            for r in range(1, n)
+            for J in itertools.combinations(range(n), r)
+        )
+        table = tuple((faces[word], faces[word.translate(_UPPER)]) for word in words)
+        self._splits[cid] = table
         return table
 
     def iterated_face_ids(self, cid: str) -> frozenset[str]:
@@ -170,6 +207,7 @@ class CubeSet:
             for cid in sorted(self._dims):
                 if self._dims[cid] > 0:
                     index.setdefault(source_vertex(self, cid), []).append(cid)
+                    self._targets[cid] = target_vertex(self, cid)
             self._by_source = {v: tuple(cs) for v, cs in index.items()}
         return self._by_source.get(vertex, ())
 
@@ -182,6 +220,10 @@ class CubeSet:
         if self._proper_nsl is None:
             self._proper_nsl = is_proper(self)[0] and is_non_self_linked(self)[0]
         return self._proper_nsl
+
+
+# a lower face word to the word of its complementary upper face: free axes freeze at 1, 0-axes become free
+_UPPER = str.maketrans("0*", "*1")
 
 
 # -- structural predicates -------------------------------------------------

@@ -322,12 +322,21 @@ def write_kinks(ks: KinkSequence) -> str:
 
 def parse_complex(text: str) -> SimplicialComplex:
     doc = loads(text)
+    labels = tuple(_expect(doc, "vertices", "complex", list))
     simplices = _items(_expect(doc, "maximal_simplices", "complex"), list, "complex 'maximal_simplices'")
     return SimplicialComplex(
-        tuple(_expect(doc, "vertices", "complex", list)),
-        tuple(tuple(_items(s, int, f"complex 'maximal_simplices'[{k}]")) for k, s in enumerate(simplices)),
+        labels,
+        tuple(_simplex(s, len(labels), f"complex 'maximal_simplices'[{k}]") for k, s in enumerate(simplices)),
         frozenset(_items(doc.get("flags", []), str, "complex 'flags'")),
     )
+
+
+def _simplex(value: Any, vertex_count: int, where: str) -> tuple[int, ...]:
+    """``value`` as a simplex: strictly increasing vertex indices below ``vertex_count``."""
+    s = _items(value, int, where)
+    if any(not 0 <= v < vertex_count for v in s) or any(u >= v for u, v in zip(s, s[1:])):
+        raise FormatError(f"{where}: expected strictly increasing vertex indices below {vertex_count}, got {s!r:.40}")
+    return tuple(s)
 
 
 def write_complex(K: SimplicialComplex) -> str:

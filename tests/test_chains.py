@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precubical import (
     NO_COARSEST,
@@ -21,6 +23,7 @@ from precubical import (
     finest_chain,
     full_cube,
     is_strict,
+    q_complex,
     is_tame,
     refinement_set,
     refines,
@@ -331,3 +334,67 @@ def test_enumerate_chains_on_self_linked_quotient_cube():
     assert poset.covers == ((0, 1),)
     refs = elementary_refinements(Q, poset.objects[0])
     assert len(refs) == 1
+
+
+# -- covers against a reference built from split words --------------------------
+
+
+def _reference_refinements(X, chain):
+    """Elementary refinements from split words, each face found by walking the face maps."""
+    out = []
+    for i, c in enumerate(chain.cubes):
+        n = X.dim(c)
+        for r in range(1, n):
+            for J in itertools.combinations(range(n), r):
+                lower = "".join("0" if a in J else "*" for a in range(n))
+                upper = "".join("*" if a in J else "1" for a in range(n))
+                split = (X.iterated_face(c, lower), X.iterated_face(c, upper))
+                refined = CubeChain(chain.source, chain.target, chain.cubes[:i] + split + chain.cubes[i + 1 :])
+                if refined not in out:
+                    out.append(refined)
+    return out
+
+
+def _assert_covers_match_reference(X, source, target, length):
+    poset = enumerate_chains(X, source, target, length)
+    index = {chain: i for i, chain in enumerate(poset.objects)}
+    covers = set()
+    for i, chain in enumerate(poset.objects):
+        refined = _reference_refinements(X, chain)
+        assert elementary_refinements(X, chain) == refined
+        covers.update((i, index[r]) for r in refined if r in index)
+    assert poset.covers == tuple(sorted(covers))
+
+
+@st.composite
+def _random_box_sets(draw):
+    """Unit boxes of a small 2D or 3D grid: the two corner boxes plus a random subset of the rest."""
+    shape = draw(st.sampled_from([(2, 2), (3, 2), (3, 3), (4, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2)]))
+    corners = [(0,) * len(shape), tuple(k - 1 for k in shape)]
+    rest = [c for c in itertools.product(*map(range, shape)) if c not in corners]
+    keep = draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+    boxes = corners + [c for c, k in zip(rest, keep) if k]
+    X = euclidean([(c, tuple(x + 1 for x in c)) for c in boxes])
+    origin, far = ",".join("0" * len(shape)), ",".join(map(str, shape))
+    return X, f"{origin}|{origin}", f"{far}|{far}", sum(shape)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_random_box_sets())
+def test_covers_and_refinements_match_the_split_word_reference(case):
+    _assert_covers_match_reference(*case)
+
+
+@pytest.mark.parametrize(
+    "X, source, target, length",
+    [
+        (q_complex(2), "q0_0", "q0_2", 2),
+        (q_complex(3), "q0_0", "q0_3", 3),
+        (q_complex(4), "q0_0", "q0_4", 4),
+        (z_complex(2), "c0", "c0", 3),
+        (z_complex(3), "c0", "c0", 4),
+    ],
+    ids=["q2", "q3", "q4", "z2", "z3"],
+)
+def test_covers_match_the_reference_where_splits_collapse(X, source, target, length):
+    _assert_covers_match_reference(X, source, target, length)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from precubical import (
@@ -17,6 +19,8 @@ from precubical import (
     validate,
     z_complex,
 )
+
+from precubical.toolkit import parse_pv, pv_to_euclidean
 
 from helpers import glued_squares
 
@@ -151,6 +155,36 @@ def test_face_locations_and_carriers():
     assert ("**", "00") in locs and ("0*", "0") in locs and ("v00", "") in locs
     assert X.carriers_of("*0") == ["**", "*0"]
     assert X.cubes_from("v00") == ("**", "*0", "0*")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: boundary_cube(5),
+        lambda: full_cube(4),
+        lambda: q_complex(4),
+        lambda: z_complex(3),
+        lambda: pv_to_euclidean(parse_pv("A = P(a).V(a).P(b).V(b); B = P(a).V(a).P(b).V(b); C = P(a).V(a)"))[0],
+        lambda: euclidean([(c, tuple(x + 1 for x in c)) for c in itertools.product(range(2), repeat=3)]),
+    ],
+    ids=["bd5", "full4", "q4", "z3", "pv", "grid222"],
+)
+def test_iterated_faces_table_equals_the_per_word_walk(build):
+    X = build()
+    for c in X.cubes():
+        walked = {w: X.iterated_face(c, w) for w in map("".join, itertools.product("0*1", repeat=X.dim(c)))}
+        assert list(X.iterated_faces(c).items()) == list(walked.items())
+
+
+def test_iterated_faces_raises_on_a_missing_face_entry():
+    X = full_cube(2)
+    faces = {c: X.face_table(c) for c in X.cubes() if X.dim(c) > 0}
+    del faces["*0"][(1, 1)]  # faces are applied from the highest axis down, so d(2,0) then d(1,1)
+    broken = CubeSet({c: X.dim(c) for c in X.cubes()}, faces)
+    with pytest.raises(PrecubicalError, match=r"no face entry d\(1,1\)"):
+        broken.iterated_faces("**")
+    with pytest.raises(PrecubicalError, match=r"no face entry d\(1,1\)"):
+        broken.iterated_faces("*0")
 
 
 def test_validate_reports_unknown_face_ids():

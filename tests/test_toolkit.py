@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from precubical import (
     is_proper,
     order_complex,
     paths_equal,
+    q_complex,
     validate,
     z_complex,
 )
@@ -121,6 +125,28 @@ def test_chain_and_poset_round_trip():
     assert write_poset(back) == text
 
 
+_PV684 = "A = P(a).V(a).P(b).V(b); B = P(a).V(a).P(b).V(b); C = P(a).V(a)"
+
+
+@pytest.mark.parametrize(
+    "build, length, digest",
+    [
+        (lambda: (boundary_cube(5), "v00000", "v11111"), 5,
+         "0ced547a2cf56491dc823d66cae810219beb5f9fb92d3e6a992ba91714f89ba3"),
+        (lambda: pv_to_euclidean(parse_pv(_PV684)), 10,
+         "26eb5e4f82d85605397eef4718434e7325c0b7094faa9c45cbde389da289c79a"),
+        (lambda: (q_complex(4), "q0_0", "q0_4"), 4,
+         "ae92dc04b6766ec1f35a8f1ab8c07b347455aeccfacacd4b6cdf478196056d4a"),
+    ],
+    ids=["bd5", "pv684", "q4"],
+)
+def test_poset_documents_are_pinned(build, length, digest):
+    # any change in the order of objects or covers changes these bytes
+    X, source, target = build()
+    text = write_poset(enumerate_chains(X, source, target, length), X.proper_non_self_linked())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_parse_poset_rejects_covers_that_do_not_add_one_cube():
     doc = json.loads(write_poset(enumerate_chains(boundary_cube(3), "v000", "v111", 3)))
     for covers in ([[0, 0]], [[0, 99]], [[0, 6], [6, 0]], [doc["covers"][0]] * 2):
@@ -201,12 +227,18 @@ def test_pv_three_philosophers_not_deadlock_free_geometry():
 # -- CLI ---------------------------------------------------------------------------
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the child processes import the library from this checkout, installed or not
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "precubical.toolkit.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
 
 
@@ -335,8 +367,15 @@ _POSET_DOC = json.loads(write_poset(enumerate_chains(boundary_cube(3), "v000", "
         (["nerve", "--order"], {**_POSET_DOC, "max_length": "x"}, "poset 'max_length'"),
         (["check"], {"cubes": [5]}, "cubeset 'cubes'[0]"),
         (["check"], {"cubes": [{"id": "e", "dim": 1, "faces": ["v0", "v1"]}]}, "cubeset 'cubes'[0] 'faces'"),
+        (["homology"], {"vertices": ["a"], "maximal_simplices": [[5]]}, "complex 'maximal_simplices'[0]"),
+        (["homology"], {"vertices": ["a"], "maximal_simplices": [[-1]]}, "complex 'maximal_simplices'[0]"),
+        (["homology"], {"vertices": ["a", "b"], "maximal_simplices": [[0], [1, 0]]}, "complex 'maximal_simplices'[1]"),
+        (["homology"], {"vertices": ["a"], "maximal_simplices": [[0, 0]]}, "complex 'maximal_simplices'[0]"),
     ],
-    ids=["simplex-entry", "simplices", "cover", "objects", "max-length", "cube", "faces"],
+    ids=[
+        "simplex-entry", "simplices", "cover", "objects", "max-length", "cube", "faces",
+        "vertex-above-range", "vertex-below-range", "vertices-decreasing", "vertex-repeated",
+    ],
 )
 def test_cli_malformed_documents_give_a_one_line_error(command, doc, names):
     r = run_cli(command, json.dumps(doc))
