@@ -1,11 +1,12 @@
 """Points of the geometric realization: canonical forms, collars, stars.
 
 A point is stored as a carrier cube plus exact rational local coordinates.
-Canonicalization strips coordinates sitting at 0 or 1 through the face
-maps until the remaining coordinates are interior; the canonical form is
-unique, which makes point equality a plain comparison.  All predicates
-work on the set of representatives of a point, so they remain correct on
-self-linked complexes where the quotient map identifies boundary points.
+Canonicalization moves a point to the face its coordinates at 0 or 1
+name, read from the carrier's face table, leaving interior coordinates
+only; the canonical form is unique, which makes point equality a plain
+comparison.  All predicates work on the set of representatives of a
+point, so they remain correct on self-linked complexes where the
+quotient map identifies boundary points.
 """
 
 from __future__ import annotations
@@ -97,21 +98,15 @@ class Point:
 def canonicalize(X: CubeSet, p: Point) -> Point:
     """Push a point to its minimal carrier face.
 
-    Strips coordinates equal to 0 or 1 (lowest axis first) through the face
-    maps until all remaining coordinates are interior.  Idempotent.
+    The coordinates equal to 0 or 1 spell, with ``*`` for the others, a
+    face word of the carrier; the point's canonical carrier is that face,
+    read from the cached ``iterated_faces`` table, and its coordinates are
+    the remaining interior ones.  Idempotent.
     """
-    cube = p.cube
-    coords = list(p.coords)
-    if len(coords) != X.dim(cube):
-        raise PrecubicalError(f"point has {len(coords)} coordinates but cube {cube!r} has dimension {X.dim(cube)}")
-    while True:
-        for i, x in enumerate(coords):
-            if x == 0 or x == 1:
-                cube = X.face(cube, i + 1, int(x))
-                del coords[i]
-                break
-        else:
-            return Point(cube, tuple(coords))
+    if len(p.coords) != X.dim(p.cube):
+        raise PrecubicalError(f"point has {len(p.coords)} coordinates but cube {p.cube!r} has dimension {X.dim(p.cube)}")
+    word = "".join(["0" if x == 0 else "1" if x == 1 else "*" for x in p.coords])
+    return Point(X.iterated_faces(p.cube)[word], tuple([x for x, ch in zip(p.coords, word) if ch == "*"]))
 
 
 def face(X: CubeSet, cid: str, fp: FacePartition) -> str:
@@ -143,7 +138,7 @@ def _embed(word: str, interior: Iterable[Fraction]) -> tuple[Fraction, ...]:
 
 def _coords_in(X: CubeSet, p: Point, cube: str) -> list[tuple[Fraction, ...]]:
     """The coordinates of every representative of the canonical ``p`` in ``cube``."""
-    return [_embed(word, p.coords) for c, word in X.face_locations(p.cube) if c == cube]
+    return [_embed(word, p.coords) for word in X._locations_of(p.cube).get(cube, ())]
 
 
 def _in_box(coords: tuple[Fraction, ...], word: str) -> bool:
@@ -165,18 +160,6 @@ def in_collar(X: CubeSet, p: Point, cid: str, fp: FacePartition) -> bool:
     return any(_in_box(coords, word) for coords in _coords_in(X, canonicalize(X, p), cid))
 
 
-def _collar_boxes(X: CubeSet, d: str) -> dict[str, list[str]]:
-    """The face words of the collar boxes of ``d``, by cube; built once per complex."""
-    boxes = X._collars.get(d)
-    if boxes is None:
-        boxes = {}
-        for e in sorted(X.iterated_face_ids(d)):
-            for cube, word in X.face_locations(e):
-                boxes.setdefault(cube, []).append(word)
-        X._collars[d] = boxes
-    return boxes
-
-
 def in_face_collar(X: CubeSet, p: Point, d: str) -> bool:
     """Whether ``p`` lies in the collar of the cube ``d`` inside the complex.
 
@@ -184,8 +167,8 @@ def in_face_collar(X: CubeSet, p: Point, d: str) -> bool:
     iterated face of ``d`` (including ``d`` itself).
     """
     reps = representatives(X, canonicalize(X, p))
-    boxes = _collar_boxes(X, d)
-    return any(_in_box(coords, word) for cube, coords in reps for word in boxes.get(cube, ()))
+    collar = X._collar(d)
+    return any(_in_box(coords, word) for cube, coords in reps for word, _ in collar.get(cube, ()))
 
 
 def in_star(X: CubeSet, p: Point, v: str) -> bool:
@@ -202,13 +185,13 @@ def in_star(X: CubeSet, p: Point, v: str) -> bool:
 def _common_rep_pairs(X: CubeSet, p: Point, q: Point):
     p = canonicalize(X, p)
     q = canonicalize(X, q)
-    p_reps: dict[str, list[tuple[Fraction, ...]]] = {}
-    for cube, coords in representatives(X, p):
-        p_reps.setdefault(cube, []).append(coords)
-    pairs = []
-    for cube, coords_q in representatives(X, q):
-        for coords_p in p_reps.get(cube, ()):
-            pairs.append((cube, coords_p, coords_q))
+    p_locations = X._locations_of(p.cube)
+    pairs = [
+        (cube, _embed(word_p, p.coords), _embed(word_q, q.coords))
+        for cube, words_q in X._locations_of(q.cube).items()
+        for word_q in words_q
+        for word_p in p_locations.get(cube, ())
+    ]
     if not pairs:
         raise NoCommonCarrierError(f"points {p} and {q} share no carrier cube")
     return pairs
@@ -244,18 +227,14 @@ def hyperplane_level(X: CubeSet, p: Point) -> int | None:
     p = canonicalize(X, p)
     if p.is_vertex():
         return 0
-    carriers: dict[str, list[tuple[Fraction, ...]]] = {}
-    for cube, coords in representatives(X, p):
-        carriers.setdefault(cube, []).append(coords)
-    maximal = [
-        c for c in carriers
-        if not any(other != c and c in X.iterated_face_ids(other) for other in carriers)
-    ]
+    carriers = X._locations_of(p.cube)
     levels = set()
-    for cube in maximal:
+    for cube, words in carriers.items():
+        if any(other != cube and other in carriers for other in X._locations_of(cube)):
+            continue  # not maximal: a face of another carrier
         n = X.dim(cube)
-        for coords in carriers[cube]:
-            s = sum(coords, Fraction(0))
+        for word in words:
+            s = sum(_embed(word, p.coords), Fraction(0))
             if s.denominator == 1 and 0 < s < n:
                 levels.add(int(s))
     if not levels:

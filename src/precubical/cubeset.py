@@ -64,12 +64,14 @@ class CubeSet:
         for cid, d in self._dims.items():
             if d < 0:
                 raise PrecubicalError(f"cube {cid!r} has negative dimension {d}")
-        # lazily built indexes; the split table (cube -> its (lower, upper) face
-        # pairs, see _splits_of) serves every refinement consumer in chains
+        # lazily built indexes, the one place every face lookup is read from:
+        # face tables (iterated_faces); split tables (_splits_of, for chains);
+        # the locations index (_locations_of, face -> {carrier: [words]}); and
+        # collar tables (_collar, cube -> {carrier: [(box word, face word)]})
         self._iterated: dict[str, dict[str, str]] = {}
         self._splits: dict[str, tuple[tuple[str, str], ...]] = {}
-        self._locations: dict[str, list[tuple[str, str]]] | None = None
-        self._collars: dict[str, dict[str, list[str]]] = {}  # filled by carrier._collar_boxes
+        self._locations: dict[str, dict[str, tuple[str, ...]]] | None = None
+        self._collars: dict[str, dict[str, list[tuple[str, str]]]] = {}
         self._by_source: dict[str, tuple[str, ...]] | None = None
         self._targets: dict[str, str] = {}  # filled with the cubes_from index
         self._proper_nsl: bool | None = None
@@ -181,24 +183,45 @@ class CubeSet:
     def iterated_face_ids(self, cid: str) -> frozenset[str]:
         return frozenset(self.iterated_faces(cid).values())
 
+    def _locations_of(self, target: str) -> dict[str, tuple[str, ...]]:
+        """The words locating ``target`` in each of its carriers (itself included), all sorted."""
+        if self._locations is None:
+            locations: dict[str, dict[str, tuple[str, ...]]] = {c: {} for c in self._dims}
+            for cid in sorted(self._dims):
+                words: dict[str, list[str]] = {}
+                for word, fid in sorted(self.iterated_faces(cid).items()):
+                    words.setdefault(fid, []).append(word)
+                for fid, ws in words.items():
+                    locations[fid][cid] = tuple(ws)
+            self._locations = locations
+        try:
+            return self._locations[target]
+        except KeyError:
+            raise UnknownCubeError(f"unknown cube {target!r}") from None
+
     def face_locations(self, target: str) -> list[tuple[str, str]]:
         """All pairs ``(cube, word)`` with ``iterated_faces(cube)[word] == target``.
 
         Includes the trivial location ``(target, '*' * dim)``.
         """
-        if self._locations is None:
-            locations: dict[str, list[tuple[str, str]]] = {c: [] for c in self._dims}
-            for cid in sorted(self._dims):
-                for word, fid in sorted(self.iterated_faces(cid).items()):
-                    locations[fid].append((cid, word))
-            self._locations = locations
-        if target not in self._dims:
-            raise UnknownCubeError(f"unknown cube {target!r}")
-        return self._locations[target]
+        return [(cid, word) for cid, words in self._locations_of(target).items() for word in words]
 
     def carriers_of(self, cid: str) -> list[str]:
-        """Cubes having ``cid`` among their iterated faces (``cid`` included)."""
-        return sorted({c for c, _ in self.face_locations(cid)})
+        """Cubes having ``cid`` among their iterated faces (``cid`` included), sorted."""
+        return list(self._locations_of(cid))
+
+    def _collar(self, cid: str) -> dict[str, list[tuple[str, str]]]:
+        """The collar boxes of a cube by carrier: one ``(box word, face word)`` pair per
+        location (the box word) of each iterated face of ``cid`` (the face word).
+        """
+        collar = self._collars.get(cid)
+        if collar is None:
+            collar = {}
+            for h_word, e in self.iterated_faces(cid).items():
+                for carrier, words in self._locations_of(e).items():
+                    collar.setdefault(carrier, []).extend((g_word, h_word) for g_word in words)
+            self._collars[cid] = collar
+        return collar
 
     def cubes_from(self, vertex: str) -> tuple[str, ...]:
         """Positive-dimensional cubes whose source vertex is ``vertex``."""

@@ -152,18 +152,9 @@ class PLPath:
 
     def normalized(self) -> "PLPath":
         """The same path reparametrized affinely onto the domain [0, 1]."""
-        t0, t1 = self.t0, self.t1
-        if (t0, t1) == (0, 1):
+        if (self.t0, self.t1) == (0, 1):
             return self
-        if t1 == t0:
-            raise PrecubicalError("cannot normalize a path with an empty domain")
-        span = t1 - t0
-        return PLPath(
-            tuple(
-                Segment(s.cube, tuple(((t - t0) / span, c) for t, c in s.points))
-                for s in self.segments
-            )
-        )
+        return reparametrize(self, ((0, self.t0), (1, self.t1)))
 
 
 def path(segments: Sequence[tuple[str, Sequence]]) -> PLPath:
@@ -290,10 +281,10 @@ def _least_carriers(X: CubeSet, cubes: Iterable[str]) -> list[str]:
 
     Stops reading ``cubes`` as soon as the common carriers run out.
     """
-    common: set[str] | None = None
+    common = None
     for c in cubes:
-        cof = set(X.carriers_of(c))
-        common = cof if common is None else common & cof
+        carriers = X._locations_of(c).keys()
+        common = carriers if common is None else common & carriers
         if not common:
             return []
     least = min(X.dim(c) for c in common)

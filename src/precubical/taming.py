@@ -71,11 +71,6 @@ class CrossingProfile:
     windows: tuple[tuple[Fraction, Fraction], ...]
 
 
-def _hosts(X: CubeSet, carrier: str, cube: str) -> list[str]:
-    """The face words embedding ``cube`` as an iterated face of ``carrier`` (or itself)."""
-    return [w for c, w in X.face_locations(cube) if c == carrier]
-
-
 def _free(word: str, coords) -> tuple:
     """The entries of ``coords`` on the free axes of ``word``."""
     return tuple(x for x, ch in zip(coords, word) if ch == "*")
@@ -92,7 +87,7 @@ def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage:
     retraction: frozen axes of that face contribute 0 or 1, the rest come
     from the box's free axes.
     """
-    direct = _hosts(X, carrier, stage)
+    direct = X._locations_of(stage).get(carrier)
     if direct:
         return _free(direct[0], coords)
     # the carrier does not host the stage, so a canonical cube that is a face
@@ -100,13 +95,11 @@ def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage:
     on_boundary = _coords_in(X, canonicalize(X, Point(carrier, coords)), stage)
     if on_boundary:
         return on_boundary[0]
-    results = set()
-    for h_word, e in sorted(X.iterated_faces(stage).items()):
-        if e == stage:
-            continue
-        for g_word in _hosts(X, carrier, e):
-            if _in_box(coords, g_word):
-                results.add(_embed(h_word, _free(g_word, coords)))
+    results = {
+        _embed(h_word, _free(g_word, coords))
+        for g_word, h_word in X._collar(stage).get(carrier, ())
+        if _in_box(coords, g_word)
+    }
     if len(results) == 1:
         return results.pop()
     if len(results) > 1:
@@ -150,8 +143,8 @@ def _m_root_in_segment(seg: Segment, surface: MSurface, lo: Fraction, hi: Fracti
     return None
 
 
-def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> CrossingProfile:
-    """Cut the path domain into one window per chain cube."""
+def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> tuple[tuple, tuple, tuple]:
+    """Cut the path domain into one window per chain cube; returns the cuts, their surfaces and the windows."""
     n = len(chain.cubes)
     vertices = chain.vertex_sequence(X)
     segs, ends = p.segments, p._time_index[0]
@@ -159,14 +152,14 @@ def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> CrossingProfile:
     surfaces: list[MSurface | None] = []
     cur = p.t0
     for j in range(n - 1):
-        cj, cj1 = chain.cubes[j], chain.cubes[j + 1]
+        hosts, next_hosts = X._locations_of(chain.cubes[j]), X._locations_of(chain.cubes[j + 1])
         star_vertex = vertices[j + 1]
         found: tuple[Fraction, MSurface | None] | None = None
         # the scan starts at the first segment reaching the previous cut
         for si in range(bisect_left(ends, cur), len(segs)):
             seg = segs[si]
-            gs = _hosts(X, seg.cube, cj)
-            gs1 = _hosts(X, seg.cube, cj1)
+            gs = hosts.get(seg.cube)
+            gs1 = next_hosts.get(seg.cube)
             if gs and gs1:
                 for g, g1 in itertools.product(gs, gs1):
                     surf = MSurface(seg.cube, _free(g, itertools.count(1)), _free(g1, itertools.count(1)))
@@ -185,10 +178,10 @@ def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> CrossingProfile:
             if not gs1:
                 reappears = False
                 for later in itertools.islice(segs, si + 1, None):
-                    if _hosts(X, later.cube, cj):
+                    if later.cube in hosts:
                         reappears = True
                         break
-                    if _hosts(X, later.cube, cj1):
+                    if later.cube in next_hosts:
                         break
                 if reappears:
                     continue
@@ -208,9 +201,8 @@ def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> CrossingProfile:
         surfaces.append(surf)
         cur = cut
     bounds = [p.t0] + cuts + [p.t1]
-    windows = [(bounds[j], bounds[j + 1]) for j in range(n)]
-    partitions = [_window_partition(X, p, chain.cubes[j], *windows[j]) for j in range(n)]
-    return CrossingProfile(tuple(cuts), tuple(surfaces), tuple(partitions), tuple(windows))
+    windows = tuple((bounds[j], bounds[j + 1]) for j in range(n))
+    return tuple(cuts), tuple(surfaces), windows
 
 
 def _window_partition(X: CubeSet, p: PLPath, cube: str, a: Fraction, b: Fraction) -> FacePartition | None:
@@ -219,11 +211,11 @@ def _window_partition(X: CubeSet, p: PLPath, cube: str, a: Fraction, b: Fraction
     ``None`` when the path only touches the stage cube through its boundary
     collar (coordinates then come from the collar retraction).
     """
-    segs = p.segments
+    segs, hosts = p.segments, X._locations_of(cube)
     for si in range(bisect_right(p._time_index[0], a), len(segs)):
         if segs[si].t0 >= b:
             break
-        gs = _hosts(X, segs[si].cube, cube)
+        gs = hosts.get(segs[si].cube)
         if gs:
             return FacePartition.from_word(gs[0])
     return None
@@ -240,7 +232,9 @@ def crossing_times(X: CubeSet, p: PLPath, chain: CubeChain) -> CrossingProfile:
     if not is_strict(X, p):
         raise PrecubicalError("crossing_times expects a strict path")
     chain.validate(X)
-    return _stage_windows(X, p, chain)
+    cuts, surfaces, windows = _stage_windows(X, p, chain)
+    partitions = tuple(_window_partition(X, p, cube, *w) for cube, w in zip(chain.cubes, windows))
+    return CrossingProfile(cuts, surfaces, partitions, windows)
 
 
 def tame_cube(X: CubeSet, p: PLPath, fp: FacePartition, a, b) -> Segment:
@@ -306,10 +300,10 @@ def tame(X: CubeSet, p: PLPath, chain: CubeChain) -> PLPath:
     n = len(chain.cubes)
     if n == 0:
         return p
-    profile = _stage_windows(X, p, chain)
+    _, _, windows = _stage_windows(X, p, chain)
     out: list[Segment] = []
     for j, cube in enumerate(chain.cubes):
-        a, b = profile.windows[j]
+        a, b = windows[j]
         if not a < b:
             raise SubordinationError(f"stage {j} has an empty window")
         fa = _stage_value(X, p, cube, a, prefer_last=False)

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands read one document from stdin (or ``--input``) and write one
-document to stdout (or ``--output``), so they compose into pipelines:
+document to stdout (or ``--output``), so they compose into pipelines;
+``gen`` and ``pv build`` read no document, and ``finest`` reads its path
+from the named file (``-`` for stdin):
 
     precubical gen boundary-cube 3 \\
       | precubical chains --from v000 --to v111 --max-len 3 \\
@@ -36,7 +38,7 @@ GENERATORS = {
 
 
 def _read(args) -> str:
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             return fh.read()
     return sys.stdin.read()
@@ -162,8 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="precubical", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_cubeset: bool = False):
-        p.add_argument("--input", help="read the document from FILE instead of stdin")
+    def common(p: argparse.ArgumentParser, needs_cubeset: bool = False, reads_document: bool = True):
+        if reads_document:
+            p.add_argument("--input", help="read the document from FILE instead of stdin")
         p.add_argument("--output", help="write the result to FILE instead of stdout")
         if needs_cubeset:
             p.add_argument("--cubeset", required=True, help="the complex the document refers to")
@@ -171,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a named complex")
     p.add_argument("kind", choices=sorted(GENERATORS))
     p.add_argument("n", type=int)
-    common(p)
+    common(p, reads_document=False)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("check", help="validate a complex and report properness")
@@ -213,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finest", help="finest chain of a strict path")
     p.add_argument("path", help="path document FILE ('-' for stdin)")
-    common(p, needs_cubeset=True)
+    common(p, needs_cubeset=True, reads_document=False)
     p.set_defaults(func=cmd_finest)
 
     p = sub.add_parser("seq", help="convert between paths and kink sequences")
@@ -224,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pv", help="build a state space from a PV program")
     p.add_argument("action", choices=["build"])
     p.add_argument("file", help="PV program FILE")
-    common(p)
+    common(p, reads_document=False)
     p.set_defaults(func=cmd_pv)
 
     return top

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precubical import (
     FacePartition,
@@ -21,6 +23,7 @@ from precubical import (
     in_star,
     l1_distance_in_cube,
     leq_in_cube,
+    q_complex,
     z_complex,
 )
 from precubical.carrier import representatives
@@ -44,6 +47,45 @@ def test_canonicalize_idempotent():
         coords = (F(rng.randint(0, 4), 4), F(rng.randint(0, 4), 4))
         p = canonicalize(SQ, Point("**", coords))
         assert canonicalize(SQ, p) == p
+
+
+def _walk_canonicalize(X, p):
+    """Canonicalization by face maps, stripping the lowest 0/1 coordinate first."""
+    cube, coords = p.cube, list(p.coords)
+    while True:
+        for i, x in enumerate(coords):
+            if x == 0 or x == 1:
+                cube = X.face(cube, i + 1, int(x))
+                del coords[i]
+                break
+        else:
+            return Point(cube, tuple(coords))
+
+
+_CANON_COMPLEXES = {
+    "bd4": boundary_cube(4),
+    "q3": q_complex(3),
+    "z3": z_complex(3),
+    "grid222": euclidean([(c, tuple(x + 1 for x in c)) for c in itertools.product(range(2), repeat=3)]),
+}
+
+
+@st.composite
+def _points(draw):
+    X = _CANON_COMPLEXES[draw(st.sampled_from(sorted(_CANON_COMPLEXES)))]
+    cube = draw(st.sampled_from(sorted(X.cubes())))
+    coordinate = st.one_of(st.sampled_from([F(0), F(1), F(1, 2)]), st.integers(1, 96).map(lambda k: F(k, 97)))
+    coords = draw(st.lists(coordinate, min_size=X.dim(cube), max_size=X.dim(cube)))
+    return X, Point(cube, tuple(coords))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_points())
+def test_canonicalize_agrees_with_the_face_map_walk(case):
+    X, p = case
+    q = canonicalize(X, p)
+    assert q == _walk_canonicalize(X, p)
+    assert canonicalize(X, q) == q
 
 
 def test_canonicalize_on_self_linked_complex():

@@ -176,6 +176,27 @@ def test_iterated_faces_table_equals_the_per_word_walk(build):
         assert list(X.iterated_faces(c).items()) == list(walked.items())
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: boundary_cube(4),
+        lambda: q_complex(3),
+        lambda: z_complex(3),
+        lambda: pv_to_euclidean(parse_pv("A = P(a).V(a).P(b).V(b); B = P(a).V(a).P(b).V(b); C = P(a).V(a)"))[0],
+    ],
+    ids=["bd4", "q3", "z3", "pv684"],
+)
+def test_face_locations_and_carriers_match_a_rebuild_from_the_face_tables(build):
+    X = build()
+    rebuilt = {c: [] for c in X.cubes()}
+    for carrier in sorted(X.cubes()):
+        for word, fid in sorted(X.iterated_faces(carrier).items()):
+            rebuilt[fid].append((carrier, word))
+    for c in X.cubes():
+        assert X.face_locations(c) == rebuilt[c]
+        assert X.carriers_of(c) == sorted({carrier for carrier, _ in rebuilt[c]})
+
+
 def test_iterated_faces_raises_on_a_missing_face_entry():
     X = full_cube(2)
     faces = {c: X.face_table(c) for c in X.cubes() if X.dim(c) > 0}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -13,11 +14,14 @@ from precubical import (
     SubordinationError,
     boundary_cube,
     crossing_times,
+    euclidean,
     evaluate,
     full_cube,
     finest_chain,
     is_strict,
     is_tame,
+    naturalize,
+    path_to_kinks,
     paths_equal,
     subordinate_to_collar,
     tame,
@@ -25,8 +29,9 @@ from precubical import (
     taming_homotopy,
 )
 from precubical.dpath import path
+from precubical.toolkit import write_chain, write_kinks, write_path
 
-from helpers import increasing_values, random_strict_tame_path, random_two_facet_path
+from helpers import euclidean_path, increasing_values, random_strict_tame_path, random_two_facet_path
 
 SQ = full_cube(2)
 B3 = boundary_cube(3)
@@ -261,3 +266,29 @@ def test_tame_boundary_hugging_with_interior_breakpoints():
     corner.validate(SQ)
     q = tame(SQ, corner, CubeChain("v00", "v11", ("**",)))
     assert paths_equal(SQ, q, corner)
+
+
+@pytest.mark.parametrize(
+    "n, seed, digest",
+    [
+        (25, 25, "86fd7df780207cee6daf2fa96d180455dcf25c908823eba8c5ffe884ac82012b"),
+        (50, 50, "065d5a2a933827003d50aee11839e4ebdf1dcd2f9f8263befc3973753eb99bf9"),
+    ],
+    ids=["band25", "band50"],
+)
+def test_path_stack_documents_are_pinned(n, seed, digest):
+    # a seeded strict, non-tame path across the diagonal band of n squares,
+    # with one waypoint inside each diagonal square
+    X = euclidean([((i, j), (i + 1, j + 1)) for i in range(n) for j in range(n) if abs(i - j) <= 1])
+    rng = random.Random(seed)
+    waypoints = [(0, 0)] + [tuple(k + F(rng.randint(1, 96), 97) for _ in range(2)) for k in range(n)] + [(n, n)]
+    p = euclidean_path(X, waypoints)
+    chain = finest_chain(X, p)
+    tamed = tame(X, p, chain)
+    text = "".join([
+        write_chain(chain),
+        "".join(f"{t}\n" for t in crossing_times(X, p, chain).cuts),
+        write_path(tamed, X),
+        write_kinks(path_to_kinks(X, naturalize(X, tamed))),
+    ])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

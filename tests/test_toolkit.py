@@ -399,6 +399,27 @@ def test_cli_output_and_input_flags(tmp_path):
     assert json.loads(r2.stdout)["valid"]
 
 
+@pytest.mark.parametrize("command", ["gen", "finest", "pv"])
+def test_cli_input_is_refused_where_no_document_is_read(tmp_path, command):
+    # these commands take their input from arguments (or, for finest, from its
+    # path argument), so an --input option would be silently ignored
+    missing = str(tmp_path / "missing.json")
+    cubeset_file = tmp_path / "square.json"
+    cubeset_file.write_text(write_cubeset(full_cube(2)))
+    pv_file = tmp_path / "prog.pv"
+    pv_file.write_text(_PV684)
+    diagonal = write_path(path([("**", [(0, (0, 0)), (1, (1, 1))])]), full_cube(2))
+    argv, stdin = {
+        "gen": (["gen", "full-cube", "1"], ""),
+        "finest": (["finest", "--cubeset", str(cubeset_file), "-"], diagonal),
+        "pv": (["pv", "build", str(pv_file)], ""),
+    }[command]
+    assert run_cli(argv, stdin).returncode == 0
+    r = run_cli(argv + ["--input", missing], stdin)
+    assert r.returncode == 2
+    assert "unrecognized arguments: --input" in r.stderr, r.stderr
+
+
 def test_cli_covering_nerve_flags_from_truncated_loop_complex():
     gen = run_cli(["gen", "z-complex", "2"])
     chains = run_cli(["chains", "--from", "c0", "--to", "c0", "--max-len", "2"], gen.stdout)
