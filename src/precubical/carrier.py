@@ -119,10 +119,11 @@ def face(X: CubeSet, cid: str, fp: FacePartition) -> str:
 def representatives(X: CubeSet, p: Point) -> list[tuple[str, tuple[Fraction, ...]]]:
     """All ``(cube, coords)`` pairs mapping to ``p`` under the quotient.
 
-    ``p`` must be canonical.  Each representative arises from one location
-    of the carrier as an iterated face of a bigger cube, with the interior
-    coordinates slotted into the free axes.
+    ``p`` is canonicalized first.  Each representative arises from one
+    location of the canonical carrier as an iterated face of a bigger cube,
+    with the interior coordinates slotted into the free axes.
     """
+    p = canonicalize(X, p)
     return [(cube, _embed(word, p.coords)) for cube, word in X.face_locations(p.cube)]
 
 
@@ -166,7 +167,7 @@ def in_face_collar(X: CubeSet, p: Point, d: str) -> bool:
     The collar is the union of the collar boxes of every location of every
     iterated face of ``d`` (including ``d`` itself).
     """
-    reps = representatives(X, canonicalize(X, p))
+    reps = representatives(X, p)
     collar = X._collar(d)
     return any(_in_box(coords, word) for cube, coords in reps for word, _ in collar.get(cube, ()))
 

@@ -107,51 +107,35 @@ def elementary_refinements(X: CubeSet, chain: CubeChain) -> list[CubeChain]:
 
 
 def refinement_set(X: CubeSet, chain: CubeChain) -> set[CubeChain]:
-    """The reflexive-transitive closure of elementary refinements."""
-    seen = {chain}
-    frontier = [chain]
-    while frontier:
-        cur = frontier.pop()
-        for r in elementary_refinements(X, cur):
-            if r not in seen:
-                seen.add(r)
-                frontier.append(r)
-    return seen
+    """The reflexive-transitive closure of elementary refinements.
+
+    Refinements split the cubes independently, so the closure is the
+    product of the cubes' refinement tables.
+    """
+    tables = [X._refinements_of(c) for c in chain.cubes]
+    return {CubeChain(chain.source, chain.target, sum(blocks, ())) for blocks in itertools.product(*tables)}
 
 
 def refines(X: CubeSet, fine: CubeChain, coarse: CubeChain) -> bool:
-    """Whether ``fine`` arises from ``coarse`` by elementary refinements."""
+    """Whether ``fine`` arises from ``coarse`` by elementary refinements.
+
+    A split keeps dimensions additive, so ``fine`` must cut into
+    consecutive blocks, one per cube of ``coarse`` with the same total
+    dimension, each in that cube's refinement table.  A block holds at
+    least one cube.
+    """
     if (fine.source, fine.target) != (coarse.source, coarse.target):
         raise PrecubicalError("refines compares chains with equal endpoints")
-    if fine == coarse:
-        return True
-    if fine.length(X) != coarse.length(X):
-        return False
-    fine_vertices = fine.vertex_sequence(X)
-
-    def compatible(c: CubeChain) -> bool:
-        # the vertex sequence of anything refining to `fine` must embed
-        # into fine's vertex sequence in order
-        it = iter(enumerate(fine_vertices))
-        for v in c.vertex_sequence(X):
-            for _, w in it:
-                if w == v:
-                    break
-            else:
-                return False
-        return True
-
-    seen = {coarse}
-    frontier = [coarse]
-    while frontier:
-        cur = frontier.pop()
-        for r in elementary_refinements(X, cur):
-            if r == fine:
-                return True
-            if r not in seen and compatible(r):
-                seen.add(r)
-                frontier.append(r)
-    return False
+    start = 0
+    for c in coarse.cubes:
+        n, stop, dim = X.dim(c), start, 0
+        while stop < len(fine.cubes) and (stop == start or dim < n):
+            dim += X.dim(fine.cubes[stop])
+            stop += 1
+        if fine.cubes[start:stop] not in X._refinements_of(c):
+            return False
+        start = stop
+    return start == len(fine.cubes)
 
 
 @dataclass(frozen=True)
@@ -227,7 +211,7 @@ def enumerate_chains(X: CubeSet, source: str, target: str, max_length: int) -> R
             if length + d > max_length:
                 truncated = True
             else:
-                stack.append((X._targets[c], cubes + (c,), length + d))
+                stack.append((target_vertex(X, c), cubes + (c,), length + d))
     found = sorted(set(found), key=lambda cs: (len(cs), cs))
     # covers on cube-id tuples: object i splits its cube k along each pair of the split table
     index = {cubes: i for i, cubes in enumerate(found)}
@@ -368,76 +352,48 @@ def coarsest_common_refinement(X: CubeSet, a: CubeChain, b: CubeChain):
 
     Returns a chain, ``None`` when the chains have no common refinement, or
     :data:`NO_COARSEST` when common refinements exist but no coarsest one.
-    On proper non-self-linked complexes the head cubes are split off one at
-    a time, in a loop; otherwise the refinement sets are intersected
-    directly.
+    On proper non-self-linked complexes a refinement passes every vertex
+    of the chains it refines, at the same dimension position, and the cube
+    between two vertices is unique, so only one candidate can be coarsest:
+    it passes exactly the vertices of both chains.  Otherwise the
+    refinement sets are intersected directly.
     """
     if (a.source, a.target) != (b.source, b.target):
         raise PrecubicalError("chains must share endpoints")
-    if X.proper_non_self_linked():
-        return _ccr_heads(X, a, b)
-    return _ccr_brute(X, a, b)
-
-
-def _ccr_heads(X: CubeSet, a: CubeChain, b: CubeChain):
-    """Split off the largest common lower face of the two head cubes until the chains agree.
-
-    The result is those split-off faces followed by the agreed tail.  The
-    lower faces of a head cube and what is left after each are read from
-    the split table (:func:`_head_splits`).
-    """
-    source, target = a.source, a.target
-    heads: list[str] = []
-    while True:
-        if a == b:
-            tail = a
-            break
-        if a.length(X) != b.length(X) or not a.cubes or not b.cubes:
+    if not X.proper_non_self_linked():
+        return _ccr_brute(X, a, b)
+    passes = {0: a.source}
+    for chain in (a, b):
+        position = 0
+        for c in chain.cubes:
+            position += X.dim(c)
+            v = target_vertex(X, c)
+            if passes.setdefault(position, v) != v:
+                return None
+    vertices = [passes[position] for position in sorted(passes)]
+    cubes = []
+    for v, w in zip(vertices, vertices[1:]):
+        joins = [c for c in X.cubes_from(v) if target_vertex(X, c) == w]
+        if not joins:
             return None
-        rest_a, rest_b = _head_splits(X, a), _head_splits(X, b)
-        common = rest_a.keys() & rest_b.keys()
-        if not common:
-            return None
-        top = max(X.dim(d) for d in common)
-        best = [d for d in common if X.dim(d) == top]
-        if len(best) != 1:
-            # several largest common lower faces, which proper complexes allow (two
-            # squares sharing both lower edges); fall back to the exhaustive route
-            tail = _ccr_brute(X, a, b)
-            break
-        d = best[0]
-        middle = target_vertex(X, d)
-        a, b = CubeChain(middle, a.target, rest_a[d]), CubeChain(middle, b.target, rest_b[d])
-        heads.append(d)
-    if not heads or tail is None or tail is NO_COARSEST:
-        return tail
-    return CubeChain(source, target, tuple(heads) + tail.cubes)
-
-
-def _head_splits(X: CubeSet, chain: CubeChain) -> dict[str, tuple[str, ...]]:
-    """Each positive-dimensional lower face of the head cube, mapped to the cubes left after it.
-
-    Read from the split table as ``{lower: upper}``, plus the head cube
-    itself, after which only the tail is left.  On a proper non-self-linked
-    complex each lower face comes from one split, so the mapping is
-    well-defined.
-    """
-    head, tail = chain.cubes[0], chain.cubes[1:]
-    rest = {lower: (upper,) + tail for lower, upper in X._splits_of(head)}
-    rest[head] = tail
-    return rest
+        cubes.append(joins[0])
+    candidate = CubeChain(a.source, a.target, tuple(cubes))
+    return candidate if refines(X, candidate, a) and refines(X, candidate, b) else None
 
 
 def _ccr_brute(X: CubeSet, a: CubeChain, b: CubeChain):
+    """The coarsest common refinement from the intersected refinement sets.
+
+    Common refinements are closed under refining, so one is maximal exactly
+    when it is no elementary refinement of another; several maximal ones
+    give :data:`NO_COARSEST`.
+    """
     common = refinement_set(X, a) & refinement_set(X, b)
     if not common:
         return None
-    maximal = [
-        c for c in common
-        if not any(o != c and refines(X, c, o) for o in common)
-    ]
+    maximal = common.difference(*(elementary_refinements(X, c) for c in common))
     if len(maximal) == 1:
-        return maximal[0]
+        return maximal.pop()
     return NO_COARSEST
 
 

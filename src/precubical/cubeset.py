@@ -65,15 +65,17 @@ class CubeSet:
             if d < 0:
                 raise PrecubicalError(f"cube {cid!r} has negative dimension {d}")
         # lazily built indexes, the one place every face lookup is read from:
-        # face tables (iterated_faces); split tables (_splits_of, for chains);
-        # the locations index (_locations_of, face -> {carrier: [words]}); and
+        # face tables (iterated_faces); end vertices (_ends_of); split and
+        # refinement tables (_splits_of, _refinements_of, for chains); the
+        # locations index (_locations_of, face -> {carrier: [words]}); and
         # collar tables (_collar, cube -> {carrier: [(box word, face word)]})
         self._iterated: dict[str, dict[str, str]] = {}
+        self._ends: dict[str, tuple[str, str]] = {}
         self._splits: dict[str, tuple[tuple[str, str], ...]] = {}
+        self._refinements: dict[str, frozenset[tuple[str, ...]]] = {}
         self._locations: dict[str, dict[str, tuple[str, ...]]] | None = None
         self._collars: dict[str, dict[str, list[tuple[str, str]]]] = {}
         self._by_source: dict[str, tuple[str, ...]] | None = None
-        self._targets: dict[str, str] = {}  # filled with the cubes_from index
         self._proper_nsl: bool | None = None
 
     # -- basic queries ---------------------------------------------------
@@ -180,6 +182,22 @@ class CubeSet:
         self._splits[cid] = table
         return table
 
+    def _refinements_of(self, cid: str) -> frozenset[tuple[str, ...]]:
+        """The cube-id tuples that refine the one-cube chain ``(cid,)``.
+
+        Each is the cube itself, or, for a pair of the split table, a
+        refinement of the lower face followed by one of the upper face.
+        """
+        cached = self._refinements.get(cid)
+        if cached is not None:
+            return cached
+        table = {(cid,)}
+        for lower, upper in self._splits_of(cid):
+            uppers = self._refinements_of(upper)
+            table.update(head + tail for head in self._refinements_of(lower) for tail in uppers)
+        table = self._refinements[cid] = frozenset(table)
+        return table
+
     def iterated_face_ids(self, cid: str) -> frozenset[str]:
         return frozenset(self.iterated_faces(cid).values())
 
@@ -223,14 +241,25 @@ class CubeSet:
             self._collars[cid] = collar
         return collar
 
+    def _ends_of(self, cid: str) -> tuple[str, str]:
+        """The source and target vertex of a cube, reached by iterating the first face map on side 0 and 1."""
+        ends = self._ends.get(cid)
+        if ends is None:
+            source = target = cid
+            while self.dim(source) > 0:
+                source = self.face(source, 1, 0)
+            while self.dim(target) > 0:
+                target = self.face(target, 1, 1)
+            ends = self._ends[cid] = (source, target)
+        return ends
+
     def cubes_from(self, vertex: str) -> tuple[str, ...]:
         """Positive-dimensional cubes whose source vertex is ``vertex``."""
         if self._by_source is None:
             index: dict[str, list[str]] = {v: [] for v in self._dims}
             for cid in sorted(self._dims):
                 if self._dims[cid] > 0:
-                    index.setdefault(source_vertex(self, cid), []).append(cid)
-                    self._targets[cid] = target_vertex(self, cid)
+                    index.setdefault(self._ends_of(cid)[0], []).append(cid)
             self._by_source = {v: tuple(cs) for v, cs in index.items()}
         return self._by_source.get(vertex, ())
 
@@ -298,18 +327,12 @@ def validate(X: CubeSet) -> list[Violation]:
 
 def source_vertex(X: CubeSet, cid: str) -> str:
     """The vertex reached by iterating the lower first face map."""
-    cur = cid
-    while X.dim(cur) > 0:
-        cur = X.face(cur, 1, 0)
-    return cur
+    return X._ends_of(cid)[0]
 
 
 def target_vertex(X: CubeSet, cid: str) -> str:
     """The vertex reached by iterating the upper first face map."""
-    cur = cid
-    while X.dim(cur) > 0:
-        cur = X.face(cur, 1, 1)
-    return cur
+    return X._ends_of(cid)[1]
 
 
 def is_proper(X: CubeSet) -> tuple[bool, tuple[str, str] | None]:

@@ -296,10 +296,13 @@ def parse_kinks(text: str, X: CubeSet | None = None) -> KinkSequence:
         where = f"kinks 'points'[{k}]"
         cube = _expect(entry, "cube", where, str)
         coords = tuple(_rational(x, where) for x in _expect(entry, "coords", where, list))
-        pts.append(Point(cube, coords))
+        try:
+            q = Point(cube, coords)
+            pts.append(q if X is None else canonicalize(X, q))
+        except PrecubicalError as e:
+            raise FormatError(f"{where}: expected a point ({e})") from None
     ks = KinkSequence(tuple(pts))
     if X is not None:
-        ks = KinkSequence(tuple(canonicalize(X, q) for q in ks.points))
         try:
             ks.validate(X)
         except PrecubicalError as e:
@@ -322,7 +325,7 @@ def write_kinks(ks: KinkSequence) -> str:
 
 def parse_complex(text: str) -> SimplicialComplex:
     doc = loads(text)
-    labels = tuple(_expect(doc, "vertices", "complex", list))
+    labels = tuple(_items(_expect(doc, "vertices", "complex"), str, "complex 'vertices'"))
     simplices = _items(_expect(doc, "maximal_simplices", "complex"), list, "complex 'maximal_simplices'")
     return SimplicialComplex(
         labels,

@@ -234,3 +234,11 @@ def test_representatives_enumerate_the_quotient():
         (F(1, 3), F(1)),
         (F(1), F(1, 3)),
     ]
+
+
+def test_representatives_of_a_non_canonical_point_are_those_of_its_canonical_form():
+    SQ = full_cube(2)
+    p = Point("**", (F(0), F(1, 2)))  # on the left edge 0*
+    reps = representatives(SQ, p)
+    assert sorted(reps) == sorted(representatives(SQ, canonicalize(SQ, p)))
+    assert ("0*", (F(1, 2),)) in reps and ("**", (F(0), F(1, 2))) in reps

@@ -31,7 +31,6 @@ from precubical import (
     validate,
     z_complex,
 )
-from precubical import chains as chains_mod
 from precubical.chains import _ccr_brute
 from precubical.dpath import path
 
@@ -86,8 +85,26 @@ def test_refines_basic():
     assert not refines(SQ, square, br)
 
 
+def test_refines_does_not_validate_its_chains():
+    # a block holds at least one cube, so a chain listing a vertex still refines itself
+    loop = chain("v00", "v00", "v00")
+    assert refines(SQ, loop, loop)
+    assert refines(SQ, chain("v00", "v11", "v00", "*0", "1*"), chain("v00", "v11", "v00", "**"))
+    assert not refines(SQ, chain("v00", "v11", "*0", "1*"), chain("v00", "v11", "v00", "**"))
+
+
 def test_refines_is_a_partial_order_on_desk_posets():
-    for X, poset in ((SQ, SQ_POSET), (B3, B3_POSET)):
+    GS = glued_squares()
+    fixtures = [
+        (SQ, SQ_POSET),
+        (B3, B3_POSET),
+        (q_complex(3), enumerate_chains(q_complex(3), "q0_0", "q0_3", 3)),
+        (q_complex(4), enumerate_chains(q_complex(4), "q0_0", "q0_4", 4)),
+        (z_complex(2), enumerate_chains(z_complex(2), "c0", "c0", 3)),
+        (z_complex(3), enumerate_chains(z_complex(3), "c0", "c0", 4)),
+        (GS, enumerate_chains(GS, "v00", "v11", 2)),
+    ]
+    for X, poset in fixtures:
         objs = poset.objects
         rel = {(i, j): refines(X, a, b) for i, a in enumerate(objs) for j, b in enumerate(objs)}
         for i in range(len(objs)):
@@ -235,9 +252,10 @@ def test_ccr_recursive_matches_brute_force():
                 assert fast == slow or fast is slow
 
 
-def test_ccr_falls_back_when_heads_share_two_largest_lower_faces(monkeypatch):
+def test_ccr_falls_back_when_heads_share_two_largest_lower_faces():
     # squares S1: v -> t1 and S2: v -> t2 share both lower edges e1: v -> a
-    # and e2: v -> b; each top continues by one edge to w
+    # and e2: v -> b; each top continues by one edge to w, so the chains pass
+    # t1 and t2 at the same dimension position and share no refinement
     cubes = {v: 0 for v in ("v", "a", "b", "t1", "t2", "w")}
     faces = {"e1": ("v", "a"), "e2": ("v", "b"), "g1": ("t1", "w"), "g2": ("t2", "w")}
     for k in ("1", "2"):
@@ -252,10 +270,28 @@ def test_ccr_falls_back_when_heads_share_two_largest_lower_faces(monkeypatch):
     assert validate(X) == [] and X.proper_non_self_linked()
     a = chain("v", "w", "S1", "g1")
     b = chain("v", "w", "S2", "g2")
-    brute_calls = []
-    monkeypatch.setattr(chains_mod, "_ccr_brute", lambda *args: brute_calls.append(args) or _ccr_brute(*args))
     assert coarsest_common_refinement(X, a, b) is None
-    assert brute_calls == [(X, a, b)]
+    assert _ccr_brute(X, a, b) is None
+    assert not common_refinement_exists(X, [a, b])
+
+
+def _square_with_detour():
+    """The full square plus edges v00 -> w -> v11 through a vertex w off the square; proper and non-self-linked."""
+    base = full_cube(2)
+    cubes = {c: base.dim(c) for c in base.cubes()}
+    faces = {c: base.face_table(c) for c in cubes if base.dim(c) > 0}
+    cubes.update({"w": 0, "e": 1, "f": 1})
+    faces.update({"e": {(1, 0): "v00", (1, 1): "w"}, "f": {(1, 0): "w", (1, 1): "v11"}})
+    return CubeSet(cubes, faces)
+
+
+def test_ccr_is_none_when_the_other_chain_detours_around_a_square():
+    # both chains pass only their own vertices, and the cubes joining them
+    # (the edges e, f) do not refine the square
+    X = _square_with_detour()
+    assert validate(X) == [] and X.proper_non_self_linked()
+    a, b = chain("v00", "v11", "**"), chain("v00", "v11", "e", "f")
+    assert coarsest_common_refinement(X, a, b) is None
     assert _ccr_brute(X, a, b) is None
     assert not common_refinement_exists(X, [a, b])
 
@@ -398,3 +434,96 @@ def test_covers_and_refinements_match_the_split_word_reference(case):
 )
 def test_covers_match_the_reference_where_splits_collapse(X, source, target, length):
     _assert_covers_match_reference(X, source, target, length)
+
+
+# -- refinement queries against the breadth-first reference ----------------------
+
+
+def _bfs_refinement_set(X, chain):
+    """The closure of ``chain`` under elementary refinements, by breadth-first search."""
+    seen = {chain}
+    frontier = [chain]
+    while frontier:
+        for r in elementary_refinements(X, frontier.pop()):
+            if r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return seen
+
+
+def _bfs_refines(X, fine, coarse):
+    """Search the refinements of ``coarse`` for ``fine``, pruning chains whose vertices do not embed into fine's."""
+    if fine == coarse:
+        return True
+    if fine.length(X) != coarse.length(X):
+        return False
+    fine_vertices = fine.vertex_sequence(X)
+
+    def compatible(c):
+        it = iter(fine_vertices)
+        return all(any(w == v for w in it) for v in c.vertex_sequence(X))
+
+    seen = {coarse}
+    frontier = [coarse]
+    while frontier:
+        for r in elementary_refinements(X, frontier.pop()):
+            if r == fine:
+                return True
+            if r not in seen and compatible(r):
+                seen.add(r)
+                frontier.append(r)
+    return False
+
+
+def _scan_ccr(X, a, b):
+    """The coarsest common refinement by scanning the common refinements for maximal ones."""
+    common = _bfs_refinement_set(X, a) & _bfs_refinement_set(X, b)
+    if not common:
+        return None
+    maximal = [c for c in common if not any(o != c and _bfs_refines(X, c, o) for o in common)]
+    return maximal[0] if len(maximal) == 1 else NO_COARSEST
+
+
+def _assert_refinement_queries_match_the_reference(X, poset, pairs):
+    objs = poset.objects
+    for c in objs:
+        assert refinement_set(X, c) == _bfs_refinement_set(X, c)
+    for i, j in pairs:
+        a, b = objs[i], objs[j]
+        assert refines(X, a, b) == _bfs_refines(X, a, b)
+        expected = _scan_ccr(X, a, b)
+        assert coarsest_common_refinement(X, a, b) == expected
+        assert _ccr_brute(X, a, b) == expected
+        assert common_refinement_exists(X, [a, b]) == (expected is not None)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_random_box_sets(), st.data())
+def test_refinement_queries_match_the_reference_on_box_sets(case, data):
+    X, source, target, length = case
+    poset = enumerate_chains(X, source, target, length)
+    index = st.integers(0, max(0, len(poset.objects) - 1))
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=8)) if poset.objects else []
+    # related pairs: a chain against its refinements and its covers' refinements
+    for coarse, fine in poset.covers[:: max(1, len(poset.covers) // 8)]:
+        pairs += [(fine, coarse), (coarse, fine)]
+    _assert_refinement_queries_match_the_reference(X, poset, pairs)
+
+
+@pytest.mark.parametrize(
+    "X, source, target, length",
+    [
+        (q_complex(2), "q0_0", "q0_2", 2),
+        (q_complex(3), "q0_0", "q0_3", 3),
+        (q_complex(4), "q0_0", "q0_4", 4),
+        (z_complex(2), "c0", "c0", 3),
+        (z_complex(3), "c0", "c0", 4),
+        (glued_squares(), "v00", "v11", 2),
+        (_square_with_detour(), "v00", "v11", 2),
+    ],
+    ids=["q2", "q3", "q4", "z2", "z3", "glued-squares", "square-with-detour"],
+)
+def test_refinement_queries_match_the_reference_on_every_pair(X, source, target, length):
+    poset = enumerate_chains(X, source, target, length)
+    pairs = list(itertools.product(range(len(poset.objects)), repeat=2))
+    _assert_refinement_queries_match_the_reference(X, poset, pairs)

@@ -354,6 +354,9 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2
 
 
+# stands for the path of a full_cube(2) cubeset file written by the test
+_SQUARE = object()
+_SEQ_FROM = ["seq", "from", "--cubeset", _SQUARE]
 _POSET_DOC = json.loads(write_poset(enumerate_chains(boundary_cube(3), "v000", "v111", 3)))
 
 
@@ -371,13 +374,21 @@ _POSET_DOC = json.loads(write_poset(enumerate_chains(boundary_cube(3), "v000", "
         (["homology"], {"vertices": ["a"], "maximal_simplices": [[-1]]}, "complex 'maximal_simplices'[0]"),
         (["homology"], {"vertices": ["a", "b"], "maximal_simplices": [[0], [1, 0]]}, "complex 'maximal_simplices'[1]"),
         (["homology"], {"vertices": ["a"], "maximal_simplices": [[0, 0]]}, "complex 'maximal_simplices'[0]"),
+        (["homology"], {"vertices": [1, [2]], "maximal_simplices": [[0, 1]]}, "complex 'vertices'[0]"),
+        (_SEQ_FROM, {"points": [{"cube": "v00", "coords": []}, {"cube": "0*", "coords": ["2"]}]}, "kinks 'points'[1]"),
+        (_SEQ_FROM, {"points": [{"cube": "nope", "coords": []}]}, "kinks 'points'[0]"),
+        (_SEQ_FROM, {"points": [{"cube": "**", "coords": ["1/2"]}]}, "kinks 'points'[0]"),
     ],
     ids=[
         "simplex-entry", "simplices", "cover", "objects", "max-length", "cube", "faces",
         "vertex-above-range", "vertex-below-range", "vertices-decreasing", "vertex-repeated",
+        "vertex-label", "kink-coordinate", "kink-cube", "kink-coordinate-count",
     ],
 )
-def test_cli_malformed_documents_give_a_one_line_error(command, doc, names):
+def test_cli_malformed_documents_give_a_one_line_error(tmp_path, command, doc, names):
+    square = tmp_path / "square.json"
+    square.write_text(write_cubeset(full_cube(2)))
+    command = [str(square) if arg is _SQUARE else arg for arg in command]
     r = run_cli(command, json.dumps(doc))
     assert r.returncode == 2
     assert r.stderr.startswith(f"error: {names}: expected ") and r.stderr.count("\n") == 1, r.stderr
