@@ -10,6 +10,7 @@ space and feeds the nerve computations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,10 +111,23 @@ def refinement_set(X: CubeSet, chain: CubeChain) -> set[CubeChain]:
     """The reflexive-transitive closure of elementary refinements.
 
     Refinements split the cubes independently, so the closure is the
-    product of the cubes' refinement tables.
+    product of the sets of blocks refining each cube alone: the cube
+    itself, or a refinement of the lower face of a split followed by one
+    of the upper face.
     """
-    tables = [X._refinements_of(c) for c in chain.cubes]
-    return {CubeChain(chain.source, chain.target, sum(blocks, ())) for blocks in itertools.product(*tables)}
+    blocks: dict[str, set[tuple[str, ...]]] = {}
+
+    def refining(c: str) -> set[tuple[str, ...]]:
+        if c not in blocks:
+            found = {(c,)}
+            for lower, upper in X._splits_of(c):
+                uppers = refining(upper)
+                found.update(head + tail for head in refining(lower) for tail in uppers)
+            blocks[c] = found
+        return blocks[c]
+
+    products = itertools.product(*map(refining, chain.cubes))
+    return {CubeChain(chain.source, chain.target, sum(parts, ())) for parts in products}
 
 
 def refines(X: CubeSet, fine: CubeChain, coarse: CubeChain) -> bool:
@@ -121,21 +135,39 @@ def refines(X: CubeSet, fine: CubeChain, coarse: CubeChain) -> bool:
 
     A split keeps dimensions additive, so ``fine`` must cut into
     consecutive blocks, one per cube of ``coarse`` with the same total
-    dimension, each in that cube's refinement table.  A block holds at
-    least one cube.
+    dimension, each refining that cube alone.  A block refines a cube if it
+    is that cube, or if for some split its cut at the lower face's
+    dimension refines the lower face and the rest refines the upper face.
+    A block holds at least one cube.
     """
     if (fine.source, fine.target) != (coarse.source, coarse.target):
         raise PrecubicalError("refines compares chains with equal endpoints")
+    cubes = fine.cubes
+
+    def cut(start: int, n: int) -> int:
+        stop, dim = start, 0
+        while stop < len(cubes) and (stop == start or dim < n):
+            dim += X.dim(cubes[stop])
+            stop += 1
+        return stop
+
+    @functools.cache
+    def block_refines(start: int, stop: int, c: str) -> bool:
+        if cubes[start:stop] == (c,):
+            return True
+        for lower, upper in X._splits_of(c):
+            mid = cut(start, X.dim(lower))
+            if mid < stop and block_refines(start, mid, lower) and block_refines(mid, stop, upper):
+                return True
+        return False
+
     start = 0
     for c in coarse.cubes:
-        n, stop, dim = X.dim(c), start, 0
-        while stop < len(fine.cubes) and (stop == start or dim < n):
-            dim += X.dim(fine.cubes[stop])
-            stop += 1
-        if fine.cubes[start:stop] not in X._refinements_of(c):
+        stop = cut(start, X.dim(c))
+        if not block_refines(start, stop, c):
             return False
         start = stop
-    return start == len(fine.cubes)
+    return start == len(cubes)
 
 
 @dataclass(frozen=True)

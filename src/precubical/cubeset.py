@@ -65,14 +65,13 @@ class CubeSet:
             if d < 0:
                 raise PrecubicalError(f"cube {cid!r} has negative dimension {d}")
         # lazily built indexes, the one place every face lookup is read from:
-        # face tables (iterated_faces); end vertices (_ends_of); split and
-        # refinement tables (_splits_of, _refinements_of, for chains); the
-        # locations index (_locations_of, face -> {carrier: [words]}); and
-        # collar tables (_collar, cube -> {carrier: [(box word, face word)]})
+        # face tables (iterated_faces); end vertices (_ends_of); split tables
+        # (_splits_of, for chains); the locations index (_locations_of,
+        # face -> {carrier: [words]}); and collar tables (_collar,
+        # cube -> {carrier: [(box word, face word)]})
         self._iterated: dict[str, dict[str, str]] = {}
         self._ends: dict[str, tuple[str, str]] = {}
         self._splits: dict[str, tuple[tuple[str, str], ...]] = {}
-        self._refinements: dict[str, frozenset[tuple[str, ...]]] = {}
         self._locations: dict[str, dict[str, tuple[str, ...]]] | None = None
         self._collars: dict[str, dict[str, list[tuple[str, str]]]] = {}
         self._by_source: dict[str, tuple[str, ...]] | None = None
@@ -180,22 +179,6 @@ class CubeSet:
         )
         table = tuple((faces[word], faces[word.translate(_UPPER)]) for word in words)
         self._splits[cid] = table
-        return table
-
-    def _refinements_of(self, cid: str) -> frozenset[tuple[str, ...]]:
-        """The cube-id tuples that refine the one-cube chain ``(cid,)``.
-
-        Each is the cube itself, or, for a pair of the split table, a
-        refinement of the lower face followed by one of the upper face.
-        """
-        cached = self._refinements.get(cid)
-        if cached is not None:
-            return cached
-        table = {(cid,)}
-        for lower, upper in self._splits_of(cid):
-            uppers = self._refinements_of(upper)
-            table.update(head + tail for head in self._refinements_of(lower) for tail in uppers)
-        table = self._refinements[cid] = frozenset(table)
         return table
 
     def iterated_face_ids(self, cid: str) -> frozenset[str]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -305,6 +306,26 @@ def test_ccr_on_a_long_strip_needs_no_recursion():
     b = CubeChain("0,0|0,0", f"{n},1|{n},1", edges[:-1] + (f"{n - 1},0|{n},1",))
     assert coarsest_common_refinement(strip, a, b) == a
     assert coarsest_common_refinement(strip, b, b) == b
+
+
+def test_ccr_and_refines_on_an_8_cube_list_no_refinements():
+    # the top cube of full_cube(8) has 545,835 refinements; the traced peak is
+    # about 330 MB if they are listed, 31 MB if blocks are decided one by one
+    n = 8
+    X = full_cube(n)
+    top = chain("v" + "0" * n, "v" + "1" * n, "*" * n)
+    split = chain(top.source, top.target, "0" + "*" * (n - 1), "*" + "1" * (n - 1))
+    edges = chain(top.source, top.target, *("1" * k + "*" + "0" * (n - k - 1) for k in range(n)))
+    tracemalloc.start()
+    try:
+        ccr = coarsest_common_refinement(X, top, split)
+        decided = refines(X, edges, top), refines(X, edges, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the edges move the first coordinate first, which the split's lower face fixes at 0
+    assert ccr == split and decided == (True, False)
+    assert peak < 96 * 2**20
 
 
 def test_common_refinement_exists():
