@@ -95,16 +95,16 @@ def elementary_refinements(X: CubeSet, chain: CubeChain) -> list[CubeChain]:
     split table.  Splits are taken cube by cube, ``J`` in lexicographic
     order by size, and results are deduplicated.
     """
-    out: list[CubeChain] = []
-    seen: set[tuple[str, ...]] = set()
-    for i, c in enumerate(chain.cubes):
-        head, tail = chain.cubes[:i], chain.cubes[i + 1 :]
+    unique = dict.fromkeys(_single_splits(X, chain.cubes))
+    return [CubeChain(chain.source, chain.target, cubes) for cubes in unique]
+
+
+def _single_splits(X: CubeSet, cubes: tuple[str, ...]) -> Iterable[tuple[str, ...]]:
+    """The cube tuples splitting one cube of ``cubes`` along one pair of its split table, cube by cube."""
+    for k, c in enumerate(cubes):
+        head, tail = cubes[:k], cubes[k + 1 :]
         for split in X._splits_of(c):
-            cubes = head + split + tail
-            if cubes not in seen:
-                seen.add(cubes)
-                out.append(CubeChain(chain.source, chain.target, cubes))
-    return out
+            yield head + split + tail
 
 
 def refinement_set(X: CubeSet, chain: CubeChain) -> set[CubeChain]:
@@ -177,7 +177,9 @@ class RefinementPoset:
     ``covers`` holds index pairs ``(coarser, finer)`` generated by
     elementary refinements.  ``truncated`` is set when some enumeration
     branch was cut at ``max_length`` while still extendable, in which case
-    the poset is a lower approximation.
+    the poset is a lower approximation.  ``proper_non_self_linked`` records
+    whether the complex was proper and non-self-linked, so whether its
+    nerves carry the nerve-lemma guarantee.
     """
 
     source: str
@@ -186,6 +188,7 @@ class RefinementPoset:
     covers: tuple[tuple[int, int], ...]
     truncated: bool
     max_length: int
+    proper_non_self_linked: bool
 
     def index(self, chain: CubeChain) -> int:
         return self.objects.index(chain)
@@ -244,21 +247,15 @@ def enumerate_chains(X: CubeSet, source: str, target: str, max_length: int) -> R
                 truncated = True
             else:
                 stack.append((target_vertex(X, c), cubes + (c,), length + d))
-    found = sorted(set(found), key=lambda cs: (len(cs), cs))
-    # covers on cube-id tuples: object i splits its cube k along each pair of the split table
+    # each chain is reached once: distinct stack entries hold distinct cube tuples
+    found.sort(key=lambda cs: (len(cs), cs))
     index = {cubes: i for i, cubes in enumerate(found)}
     covers: list[tuple[int, int]] = []
     for i, cubes in enumerate(found):
-        finer: set[int] = set()
-        for k, c in enumerate(cubes):
-            head, tail = cubes[:k], cubes[k + 1 :]
-            for split in X._splits_of(c):
-                j = index.get(head + split + tail)
-                if j is not None:
-                    finer.add(j)
+        finer = {j for j in map(index.get, _single_splits(X, cubes)) if j is not None}
         covers.extend((i, j) for j in sorted(finer))
     objects = tuple(CubeChain(source, target, cubes) for cubes in found)
-    return RefinementPoset(source, target, objects, tuple(covers), truncated, max_length)
+    return RefinementPoset(source, target, objects, tuple(covers), truncated, max_length, X.proper_non_self_linked())
 
 
 # -- the finest chain of a strict path ---------------------------------------

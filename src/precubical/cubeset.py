@@ -13,7 +13,9 @@ combinatorial shortcuts fail) are representable.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -75,7 +77,6 @@ class CubeSet:
         self._locations: dict[str, dict[str, tuple[str, ...]]] | None = None
         self._collars: dict[str, dict[str, list[tuple[str, str]]]] = {}
         self._by_source: dict[str, tuple[str, ...]] | None = None
-        self._proper_nsl: bool | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -246,15 +247,39 @@ class CubeSet:
             self._by_source = {v: tuple(cs) for v, cs in index.items()}
         return self._by_source.get(vertex, ())
 
-    def proper_non_self_linked(self) -> bool:
-        """Whether the complex is proper and non-self-linked, decided once per instance.
+    @functools.cached_property
+    def _proper(self) -> tuple[bool, tuple[str, str] | None]:
+        """The answer of :func:`is_proper`, decided once per instance."""
+        seen: dict[tuple[str, str], str] = {}
+        for cid in sorted(self._dims):
+            key = self._ends_of(cid)
+            if key in seen:
+                return False, (seen[key], cid)
+            seen[key] = cid
+        return True, None
 
-        Coarsest common refinements, the nerve-lemma guarantee of the
-        covering nerve and kink-sequence reconstruction depend on it.
+    @functools.cached_property
+    def _non_self_linked(self) -> tuple[bool, tuple[str, int] | None]:
+        """The answer of :func:`is_non_self_linked`, decided once per instance."""
+        for cid in sorted(self._dims):
+            n = self._dims[cid]
+            if n < 1:
+                continue
+            by_dim: dict[int, set[str]] = {k: set() for k in range(n + 1)}
+            for word, fid in self.iterated_faces(cid).items():
+                by_dim[word.count("*")].add(fid)
+            for k in range(n + 1):
+                if len(by_dim[k]) != math.comb(n, k) * 2 ** (n - k):
+                    return False, (cid, k)
+        return True, None
+
+    def proper_non_self_linked(self) -> bool:
+        """Whether the complex is proper and non-self-linked, read from the cached checks.
+
+        Coarsest common refinements, the nerve-lemma guarantee recorded on
+        every refinement poset and kink-sequence reconstruction depend on it.
         """
-        if self._proper_nsl is None:
-            self._proper_nsl = is_proper(self)[0] and is_non_self_linked(self)[0]
-        return self._proper_nsl
+        return self._proper[0] and self._non_self_linked[0]
 
 
 # a lower face word to the word of its complementary upper face: free axes freeze at 1, 0-axes become free
@@ -322,15 +347,9 @@ def is_proper(X: CubeSet) -> tuple[bool, tuple[str, str] | None]:
     """Whether distinct cubes never share both source and target vertex.
 
     Returns ``(True, None)`` or ``(False, (cube_a, cube_b))`` with a
-    witnessing pair.
+    witnessing pair.  Decided once per instance.
     """
-    seen: dict[tuple[str, str], str] = {}
-    for cid in sorted(X.cubes()):
-        key = (source_vertex(X, cid), target_vertex(X, cid))
-        if key in seen:
-            return False, (seen[key], cid)
-        seen[key] = cid
-    return True, None
+    return X._proper
 
 
 def is_non_self_linked(X: CubeSet) -> tuple[bool, tuple[str, int] | None]:
@@ -338,27 +357,10 @@ def is_non_self_linked(X: CubeSet) -> tuple[bool, tuple[str, int] | None]:
 
     An n-cube must have ``C(n, k) * 2**(n-k)`` distinct k-faces for every
     ``k <= n``; a shortfall means boundary faces were identified with each
-    other.  Returns a witnessing ``(cube, k)`` on failure.
+    other.  Returns a witnessing ``(cube, k)`` on failure.  Decided once
+    per instance.
     """
-    for cid in sorted(X.cubes()):
-        n = X.dim(cid)
-        if n < 1:
-            continue
-        by_dim: dict[int, set[str]] = {k: set() for k in range(n + 1)}
-        for word, fid in X.iterated_faces(cid).items():
-            by_dim[word.count("*")].add(fid)
-        for k in range(n + 1):
-            expected = _binom(n, k) * 2 ** (n - k)
-            if len(by_dim[k]) != expected:
-                return False, (cid, k)
-    return True, None
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    return X._non_self_linked
 
 
 # -- generators --------------------------------------------------------------

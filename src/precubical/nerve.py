@@ -99,11 +99,11 @@ def _labels(poset: RefinementPoset) -> tuple[str, ...]:
 
 
 def _flags(poset: RefinementPoset, guarantee: bool | None) -> frozenset[str]:
-    """Flags of ``order_complex`` and ``covering_nerve``; ``guarantee=None`` means unknown."""
+    """Flags of ``order_complex`` and ``covering_nerve``; an explicit ``guarantee`` overrides the poset's."""
     flags = set()
     if poset.truncated:
         flags.add("truncated-approximation")
-    if guarantee is not None and not guarantee:
+    if not (poset.proper_non_self_linked if guarantee is None else guarantee):
         flags.add("no-nerve-lemma-guarantee")
     return frozenset(flags)
 
@@ -122,8 +122,9 @@ def order_complex(
     poset yields a flagged lower approximation.  On complexes that are not
     proper and non-self-linked the poset merges refinements (two splits of
     a self-linked cube can give the same chain), so the result is flagged
-    as in :func:`covering_nerve`; the complex ``X`` or an explicit
-    ``guarantee`` decides this, and with neither no flag is added.
+    as in :func:`covering_nerve`.  The poset records whether its complex
+    is proper and non-self-linked; an explicit ``guarantee`` overrides that
+    record, and ``X`` is not read.
     """
     n = len(poset.objects)
     finer: list[list[int]] = [[] for _ in range(n)]
@@ -140,8 +141,6 @@ def order_complex(
             stack.extend(walk + (nxt,) for nxt in finer[walk[-1]])
         else:
             maximal.append(tuple(sorted(walk)))
-    if guarantee is None and X is not None:
-        guarantee = X.proper_non_self_linked()
     return SimplicialComplex(_labels(poset), tuple(sorted(maximal)), _flags(poset, guarantee))
 
 
@@ -157,15 +156,12 @@ def covering_nerve(
     ``b``, then ``b`` refines ``a``, and as nothing is finer than ``a``,
     ``b`` is ``a``.  On complexes that are not proper and non-self-linked
     the covering loses its nerve-lemma guarantee, which is recorded as a
-    flag rather than refusing the computation; ``guarantee`` overrides the
-    check when the complex itself is not at hand.
+    flag rather than refusing the computation.  The poset records whether
+    its complex is proper and non-self-linked; an explicit ``guarantee``
+    overrides that record, and ``X`` is not read.
     """
     has_finer = {coarse for coarse, _ in poset.covers}
     finest = [i for i in range(len(poset.objects)) if i not in has_finer]
-    if guarantee is None:
-        if X is None:
-            raise PrecubicalError("covering_nerve needs the complex or an explicit guarantee")
-        guarantee = X.proper_non_self_linked()
     return SimplicialComplex(_labels(poset), tuple(sorted(poset.upsets(finest))), _flags(poset, guarantee))
 
 

@@ -311,10 +311,8 @@ def tame(X: CubeSet, p: PLPath, chain: CubeChain) -> PLPath:
         dens = [hi - lo for lo, hi in zip(fa, fb)]
         if any(d == 0 for d in dens):
             raise SubordinationError(f"degenerate free axis on stage {j}: rescale denominator is zero")
-        pts = []
-        for t in (a, *_times_between(p, a, b), b):
-            f = _stage_value(X, p, cube, t, prefer_last=(t == b))
-            pts.append((t, tuple((x - lo) / d for x, lo, d in zip(f, fa, dens))))
+        inner = [(t, _stage_value(X, p, cube, t, prefer_last=False)) for t in _times_between(p, a, b)]
+        pts = [(t, tuple((x - lo) / d for x, lo, d in zip(f, fa, dens))) for t, f in [(a, fa), *inner, (b, fb)]]
         out.append(Segment(cube, tuple(pts)))
     result = PLPath(tuple(out))
     result.validate(X)

@@ -94,15 +94,15 @@ def cmd_chains(args) -> None:
     if not (source and target and isinstance(source, str) and isinstance(target, str)):
         raise FormatError("need --from/--to (or a cubeset with embedded start/end ids)")
     poset = chains_mod.enumerate_chains(X, source, target, args.max_len)
-    _write(args, formats.write_poset(poset, proper_non_self_linked=X.proper_non_self_linked()))
+    _write(args, formats.write_poset(poset))
 
 
 def cmd_nerve(args) -> None:
-    poset, guarantee = formats.parse_poset(_read(args))
+    poset = formats.parse_poset(_read(args))
     if args.covering:
-        K = nerve_mod.covering_nerve(None, poset, guarantee=guarantee)
+        K = nerve_mod.covering_nerve(None, poset)
     else:
-        K = nerve_mod.order_complex(poset, guarantee=guarantee)
+        K = nerve_mod.order_complex(poset)
     _write(args, formats.write_complex(K))
 
 

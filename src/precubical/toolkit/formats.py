@@ -15,7 +15,8 @@ Schemas:
 * kinks:    ``{"points": [{"cube": id, "coords": [x, ...]}, ...]}``;
 * poset:    ``{"from", "to", "max_length", "truncated",
   "proper_non_self_linked", "objects": [[id, ...], ...],
-  "covers": [[coarser, finer], ...]}``;
+  "covers": [[coarser, finer], ...]}``, every key required
+  (``proper_non_self_linked`` records the nerve-lemma guarantee);
 * complex:  ``{"vertices": [label, ...], "maximal_simplices": [[i, ...], ...],
   "flags": [...]}``;
 * homology: ``{"betti": [...], "torsion": [[...], ...], "flags": [...]}``.
@@ -240,9 +241,7 @@ def write_chain(chain: CubeChain) -> str:
     return dumps({"from": chain.source, "to": chain.target, "cubes": list(chain.cubes)})
 
 
-def parse_poset(text: str) -> tuple[RefinementPoset, bool]:
-    """Returns the poset plus whether the source complex carried the
-    nerve-lemma guarantee (proper and non-self-linked)."""
+def parse_poset(text: str) -> RefinementPoset:
     doc = loads(text)
     source = _expect(doc, "from", "poset", str)
     target = _expect(doc, "to", "poset", str)
@@ -261,18 +260,21 @@ def parse_poset(text: str) -> tuple[RefinementPoset, bool]:
             raise FormatError(f"poset: cover {[a, b]} does not add one cube to a listed chain")
     if len(set(covers)) != len(covers):
         raise FormatError("poset: repeated cover")
-    poset = RefinementPoset(
+    return RefinementPoset(
         source,
         target,
         objects,
         tuple(covers),
         _expect(doc, "truncated", "poset", bool),
         _expect(doc, "max_length", "poset", int),
+        _expect(doc, "proper_non_self_linked", "poset", bool),
     )
-    return poset, _shaped(doc.get("proper_non_self_linked", True), bool, "poset 'proper_non_self_linked'")
 
 
-def write_poset(poset: RefinementPoset, proper_non_self_linked: bool = True) -> str:
+def write_poset(poset: RefinementPoset, proper_non_self_linked: bool | None = None) -> str:
+    """The poset document; ``proper_non_self_linked``, when given, overrides the poset's record."""
+    if proper_non_self_linked is None:
+        proper_non_self_linked = poset.proper_non_self_linked
     return dumps(
         {
             "from": poset.source,

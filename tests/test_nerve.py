@@ -174,33 +174,53 @@ def test_flags_propagate():
 
 def test_order_complex_flags_self_linked_quotient_cubes():
     # the poset merges the two axis splits of a self-linked cube, so its order
-    # complex can disagree with the signed chain count; the result is flagged
+    # complex can disagree with the signed chain count; the poset records that
+    # its complex lacks the nerve-lemma guarantee, so the result is flagged
     for n in (2, 3):
         Q = q_complex(n)
         poset = enumerate_chains(Q, "q0_0", f"q0_{n}", n)
+        assert poset.proper_non_self_linked is False
         signed = sum((-1) ** sum(Q.dim(c) - 1 for c in chain.cubes) for chain in poset.objects)
-        K = order_complex(poset, Q)
+        K = order_complex(poset)
         assert K.flags == {"no-nerve-lemma-guarantee"}
-        assert order_complex(poset, guarantee=False) == K
-        assert order_complex(poset).maximal == K.maximal and not order_complex(poset).flags
+        assert order_complex(poset, Q) == order_complex(poset, guarantee=False) == K
         assert "no-nerve-lemma-guarantee" in homology(K).flags
         if n == 2:
             assert (euler(K), signed) == (1, 0)
     for X, a, b, ml in ((boundary_cube(3), "v000", "v111", 3), (z_complex(2), "c0", "c0", 2)):
         poset = enumerate_chains(X, a, b, ml)
         proper = X.proper_non_self_linked()
-        assert order_complex(poset, X) == order_complex(poset, guarantee=proper)
-        assert ("no-nerve-lemma-guarantee" in order_complex(poset, X).flags) == (not proper)
-    bd3 = enumerate_chains(boundary_cube(3), "v000", "v111", 3)
-    assert order_complex(bd3, boundary_cube(3)) == order_complex(bd3)
+        assert poset.proper_non_self_linked is proper
+        assert order_complex(poset) == order_complex(poset, X) == order_complex(poset, guarantee=proper)
+        assert ("no-nerve-lemma-guarantee" in order_complex(poset).flags) == (not proper)
 
 
-def test_covering_nerve_needs_guarantee_or_complex():
-    poset = enumerate_chains(full_cube(2), "v00", "v11", 2)
-    with pytest.raises(PrecubicalError):
-        covering_nerve(None, poset)
-    K = covering_nerve(None, poset, guarantee=True)
-    assert "no-nerve-lemma-guarantee" not in K.flags
+@pytest.mark.parametrize(
+    "X, source, target, length",
+    [
+        (q_complex(2), "q0_0", "q0_2", 2),
+        (q_complex(3), "q0_0", "q0_3", 3),
+        (q_complex(4), "q0_0", "q0_4", 4),
+        (z_complex(2), "c0", "c0", 2),
+        (z_complex(3), "c0", "c0", 3),
+    ],
+    ids=["q2", "q3", "q4", "z2", "z3"],
+)
+def test_nerves_of_self_linked_posets_are_flagged_without_the_complex(X, source, target, length):
+    poset = enumerate_chains(X, source, target, length)
+    for K in (order_complex(poset), covering_nerve(None, poset)):
+        assert "no-nerve-lemma-guarantee" in K.flags
+
+
+def test_covering_nerve_reads_the_guarantee_from_the_poset():
+    square = enumerate_chains(full_cube(2), "v00", "v11", 2)
+    quotient = enumerate_chains(q_complex(2), "q0_0", "q0_2", 2)
+    assert covering_nerve(None, square) == covering_nerve(full_cube(2), square)
+    assert "no-nerve-lemma-guarantee" not in covering_nerve(None, square).flags
+    assert "no-nerve-lemma-guarantee" in covering_nerve(None, quotient).flags
+    # an explicit guarantee overrides the poset's record, both ways
+    assert "no-nerve-lemma-guarantee" in covering_nerve(None, square, guarantee=False).flags
+    assert "no-nerve-lemma-guarantee" not in covering_nerve(None, quotient, guarantee=True).flags
 
 
 def test_homology_result_equivalence_ignores_padding():

@@ -16,6 +16,7 @@ from precubical import (
     KinkSequence,
     Point,
     boundary_cube,
+    covering_nerve,
     enumerate_chains,
     euclidean,
     full_cube,
@@ -119,10 +120,15 @@ def test_chain_and_poset_round_trip():
     chain = CubeChain("v000", "v111", ("**0", "11*"))
     assert parse_chain(write_chain(chain), B) == chain
     poset = enumerate_chains(B, "v000", "v111", 3)
-    text = write_poset(poset, proper_non_self_linked=True)
-    back, guarantee = parse_poset(text)
-    assert guarantee and back == poset
+    text = write_poset(poset)
+    back = parse_poset(text)
+    assert back == poset and back.proper_non_self_linked
     assert write_poset(back) == text
+    quotient = enumerate_chains(q_complex(2), "q0_0", "q0_2", 2)
+    assert json.loads(write_poset(quotient))["proper_non_self_linked"] is False
+    assert parse_poset(write_poset(quotient)) == quotient
+    # the keyword overrides the poset's record
+    assert parse_poset(write_poset(quotient, proper_non_self_linked=True)).proper_non_self_linked
 
 
 _PV684 = "A = P(a).V(a).P(b).V(b); B = P(a).V(a).P(b).V(b); C = P(a).V(a)"
@@ -143,7 +149,7 @@ _PV684 = "A = P(a).V(a).P(b).V(b); B = P(a).V(a).P(b).V(b); C = P(a).V(a)"
 def test_poset_documents_are_pinned(build, length, digest):
     # any change in the order of objects or covers changes these bytes
     X, source, target = build()
-    text = write_poset(enumerate_chains(X, source, target, length), X.proper_non_self_linked())
+    text = write_poset(enumerate_chains(X, source, target, length))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -269,6 +275,35 @@ def test_cli_order_complex_flags_self_linked_inputs():
     nerve = run_cli(["nerve", "--order"], chains.stdout)
     poset = enumerate_chains(boundary_cube(3), "v000", "v111", 3)
     assert nerve.stdout == write_complex(order_complex(poset))
+
+
+@pytest.mark.parametrize(
+    "X, source, target, length",
+    [
+        (q_complex(2), "q0_0", "q0_2", 2),
+        (q_complex(3), "q0_0", "q0_3", 3),
+        (z_complex(2), "c0", "c0", 2),
+        (boundary_cube(3), "v000", "v111", 3),
+        (full_cube(2), "v00", "v11", 2),
+    ],
+    ids=["q2", "q3", "z2", "bd3", "full2"],
+)
+def test_cli_nerves_equal_the_in_process_nerves(X, source, target, length):
+    poset = enumerate_chains(X, source, target, length)
+    chains = run_cli(["chains", "--from", source, "--to", target, "--max-len", str(length)], write_cubeset(X))
+    assert chains.stdout == write_poset(poset)
+    for route, K in (("--order", order_complex(poset)), ("--covering", covering_nerve(None, poset))):
+        nerve = run_cli(["nerve", route], chains.stdout)
+        assert nerve.returncode == 0
+        assert nerve.stdout == write_complex(K)
+
+
+def test_cli_poset_without_its_guarantee_is_refused():
+    doc = json.loads(write_poset(enumerate_chains(boundary_cube(3), "v000", "v111", 3)))
+    del doc["proper_non_self_linked"]
+    r = run_cli(["nerve", "--order"], json.dumps(doc))
+    assert r.returncode == 2
+    assert r.stderr == "error: poset: missing key 'proper_non_self_linked'\n", r.stderr
 
 
 def test_cli_outputs_are_deterministic():
