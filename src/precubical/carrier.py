@@ -88,7 +88,7 @@ class Point:
         coords = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.coords)
         object.__setattr__(self, "coords", coords)
         for x in self.coords:
-            if not 0 <= x <= 1:
+            if not 0 <= x.numerator <= x.denominator:
                 raise PrecubicalError(f"coordinate {x} outside [0, 1]")
 
     def is_vertex(self) -> bool:
@@ -105,7 +105,7 @@ def canonicalize(X: CubeSet, p: Point) -> Point:
     """
     if len(p.coords) != X.dim(p.cube):
         raise PrecubicalError(f"point has {len(p.coords)} coordinates but cube {p.cube!r} has dimension {X.dim(p.cube)}")
-    word = "".join(["0" if x == 0 else "1" if x == 1 else "*" for x in p.coords])
+    word = "".join(["0" if x.numerator == 0 else "1" if x.numerator == x.denominator else "*" for x in p.coords])
     return Point(X.iterated_faces(p.cube)[word], tuple([x for x, ch in zip(p.coords, word) if ch == "*"]))
 
 
@@ -145,8 +145,11 @@ def _coords_in(X: CubeSet, p: Point, cube: str) -> list[tuple[Fraction, ...]]:
 def _in_box(coords: tuple[Fraction, ...], word: str) -> bool:
     # Half-open collar box of the face named by ``word``: strictly below 1/2
     # on axes frozen at 0, strictly above on axes frozen at 1; free axes
-    # are unconstrained.
-    return all(ch == "*" or (x < HALF if ch == "0" else x > HALF) for x, ch in zip(coords, word))
+    # are unconstrained.  x < 1/2 exactly when 2*numerator < denominator.
+    return all(
+        ch == "*" or (2 * x.numerator < x.denominator if ch == "0" else 2 * x.numerator > x.denominator)
+        for x, ch in zip(coords, word)
+    )
 
 
 def in_collar(X: CubeSet, p: Point, cid: str, fp: FacePartition) -> bool:

@@ -133,6 +133,9 @@ class PLPath:
                     raise PrecubicalError(
                         f"segment {si}: {len(coords)} coordinates for {n}-cube {seg.cube!r} at t={t}"
                     )
+                for x in coords:
+                    if not 0 <= x.numerator <= x.denominator:
+                        raise PrecubicalError(f"segment {si}: coordinate {x} outside [0, 1] at t={t}")
             for (_, a), (_, b) in zip(seg.points, seg.points[1:]):
                 if any(y < x for x, y in zip(a, b)):
                     raise PrecubicalError(f"segment {si}: coordinates must be non-decreasing")
@@ -408,15 +411,6 @@ def _apply_flow(kind: str, t: Fraction, x: Fraction) -> Fraction:
     raise PrecubicalError(f"unknown flow kind {kind!r}")
 
 
-def _resample_times(p: PLPath, samples: int) -> dict[int, list[Fraction]]:
-    out: dict[int, list[Fraction]] = {}
-    for si, seg in enumerate(p.segments):
-        ts = {seg.t0 + Fraction(k, samples) * (seg.t1 - seg.t0) for k in range(samples + 1)}
-        ts.update(t for t, _ in seg.points)
-        out[si] = sorted(ts)
-    return out
-
-
 def strictify(X: CubeSet, p: PLPath, flow: str = "rational", samples: int = 16) -> PLPath:
     """Strictify a directed path by the diagonal flow, resampled to PL.
 
@@ -424,6 +418,8 @@ def strictify(X: CubeSet, p: PLPath, flow: str = "rational", samples: int = 16) 
     breakpoints plus ``samples`` + 1 evenly spaced times per segment) and
     interpolates.  Cube membership at every time and the endpoint vertices
     are unchanged; tame paths stay tame.  Requires the domain [0, 1].
+    Computed by :func:`strictify_homotopy` at stage 1, so the output is the
+    exact per-time evaluation described there.
     """
     return strictify_homotopy(X, p, 1, flow, samples)
 
@@ -433,22 +429,72 @@ def strictify_homotopy(X: CubeSet, p: PLPath, s, flow: str = "rational", samples
 
     Stage 0 reproduces the path (resampled) and stage 1 is
     :func:`strictify`; interior coordinates are non-decreasing in ``s``.
+
+    Each segment is resampled by one merge walk over its evenly spaced
+    times and its own breakpoints, both already ascending.  On the
+    ``rational`` flow the walk carries times, the linear interpolation and
+    ``x + s*t*x*(1-x)`` as integer numerators and denominators, and builds
+    each output time and coordinate with a single ``Fraction``; the other
+    flows go through the float reference.  Either way the output equals,
+    point for point, the flow applied at every distinct sample time to the
+    exactly interpolated path.
     """
-    s = _frac(s)
+    try:
+        s = _frac(s)
+    except (TypeError, ValueError, OverflowError):
+        raise PrecubicalError(f"homotopy stage must be a rational number, got {s!r}") from None
     if not 0 <= s <= 1:
         raise PrecubicalError("homotopy stage must lie in [0, 1]")
-    if samples < 1:
-        raise PrecubicalError("samples must be positive")
+    if not isinstance(samples, int) or samples < 1:
+        raise PrecubicalError(f"samples must be a positive integer, got {samples!r}")
+    sn, sd = s.numerator, s.denominator
+    if flow == "rational":
+        def move(xn: int, xd: int, tn: int, td: int) -> Fraction:
+            # x + st*x*(1-x) with x = xn/xd and st = s*t = sn*tn / (sd*td)
+            an, ad = sn * tn, sd * td
+            return Fraction(xn * (xd * ad + an * (xd - xn)), ad * xd * xd)
+    elif flow in ("paper", "exponential"):
+        def move(xn: int, xd: int, tn: int, td: int) -> Fraction:
+            return _apply_flow(flow, Fraction(sn * tn, sd * td), Fraction(xn, xd))
+    else:
+        raise PrecubicalError(f"unknown flow kind {flow!r}")
     if (p.t0, p.t1) != (0, 1):
         raise PrecubicalError("strictify expects a path on the domain [0, 1]")
-    times = _resample_times(p, samples)
+
+    def flowed(t: Fraction, xs: tuple[Fraction, ...]) -> Breakpoint:
+        return t, tuple([move(x.numerator, x.denominator, t.numerator, t.denominator) for x in xs])
+
     segments = []
-    for si, seg in enumerate(p.segments):
-        pts = []
-        for t in times[si]:
-            st = s * t
-            pts.append((t, tuple(_apply_flow(flow, st, x) for x in _interp(seg, t))))
-        segments.append(Segment(seg.cube, tuple(pts)))
+    for seg in p.segments:
+        pts = seg.points
+        t0, t1 = pts[0][0], pts[-1][0]
+        # the evenly spaced times are (base + k*step) / den for k = 0..samples
+        den = t0.denominator * t1.denominator * samples
+        base = t0.numerator * t1.denominator * samples
+        step = t1.numerator * t0.denominator - t0.numerator * t1.denominator
+        grid = base + step
+        out = [flowed(*pts[0])]
+        for (ta, xa), (tb, xb) in zip(pts, pts[1:]):
+            pa, qa, pb, qb = ta.numerator, ta.denominator, tb.numerator, tb.denominator
+            # a grid time g/den inside (ta, tb) lies the fraction lam/span of
+            # the way from ta to tb, so each coordinate xa + lam/span*(xb - xa)
+            # is (lo + lam*rise) / xd
+            span = den * (pb * qa - pa * qb)
+            lines = [
+                (a.numerator * b.denominator * span, b.numerator * a.denominator - a.numerator * b.denominator,
+                 a.denominator * b.denominator * span)
+                for a, b in zip(xa, xb)
+            ]
+            end = pb * den
+            while grid * qb < end:
+                lam = (grid * qa - pa * den) * qb
+                coords = tuple([move(lo + lam * rise, xd, grid, den) for lo, rise, xd in lines])
+                out.append((Fraction(grid, den), coords))
+                grid += step
+            if grid * qb == end:  # this grid time is the breakpoint tb itself
+                grid += step
+            out.append(flowed(tb, xb))
+        segments.append(Segment(seg.cube, tuple(out)))
     return PLPath(tuple(segments))
 
 

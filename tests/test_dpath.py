@@ -35,7 +35,7 @@ from precubical import (
     z_complex,
 )
 from precubical.carrier import canonicalize
-from precubical.dpath import _segments_at, _times_between, path
+from precubical.dpath import PLPath, Segment, _apply_flow, _interp, _segments_at, _times_between, path
 
 from helpers import euclidean_path, glued_squares
 
@@ -256,6 +256,62 @@ def test_strictify_requires_unit_domain_and_positive_samples():
     shifted = path([("**", [(0, (0, 0)), (2, (1, 1))])])
     with pytest.raises(PrecubicalError):
         strictify(SQ, shifted)
+    # the arguments are checked before the domain, with a library error
+    for stage in ("x", float("nan"), float("inf"), None):
+        with pytest.raises(PrecubicalError, match="stage"):
+            strictify_homotopy(SQ, shifted, stage)
+    for samples in (2.5, "4"):
+        with pytest.raises(PrecubicalError, match="samples"):
+            strictify_homotopy(SQ, shifted, F(1, 2), samples=samples)
+    # a path with no coordinates never reaches the flow itself
+    with pytest.raises(PrecubicalError, match="flow"):
+        strictify_homotopy(SQ, path([("v00", [(0, ()), (2, ())])]), 1, "bogus")
+
+
+@st.composite
+def _strictify_cases(draw):
+    """A directed path in the top cell of a 1-, 2- or 3-cube, cut into segments
+    at lattice times, with pauses and with breakpoints both on and off each
+    segment's sample grid; and a stage, a flow and a sample count."""
+    n = draw(st.integers(1, 3))
+    samples = draw(st.integers(1, 20))
+    ends = [F(0)] + [F(c, 12) for c in sorted(draw(st.sets(st.integers(1, 11), max_size=3)))] + [F(1)]
+    fractions = st.fractions(0, 1, max_denominator=97)
+    times = []
+    for a, b in zip(ends, ends[1:]):
+        on_grid = draw(st.sets(st.integers(1, samples), max_size=3))
+        off_grid = draw(st.sets(fractions.filter(lambda x: 0 < x < 1), max_size=3))
+        inner = {a + F(k, samples) * (b - a) for k in on_grid if k < samples}
+        times.append(sorted({a, b} | inner | {a + x * (b - a) for x in off_grid}))
+    count = sum(len(ts) - 1 for ts in times) + 1
+    axes = [sorted(draw(st.lists(fractions, min_size=count, max_size=count))) for _ in range(n)]
+    coords = list(zip(*axes))
+    for i, pause in enumerate(draw(st.lists(st.booleans(), min_size=count - 1, max_size=count - 1)), 1):
+        if pause:
+            coords[i] = coords[i - 1]
+    segments, i = [], 0
+    for ts in times:
+        segments.append(Segment("*" * n, tuple(zip(ts, coords[i : i + len(ts)]))))
+        i += len(ts) - 1
+    X, p = full_cube(n), PLPath(tuple(segments))
+    p.validate(X)
+    s = draw(st.one_of(st.sampled_from([F(0), F(1)]), fractions))
+    return X, p, s, draw(st.sampled_from(["rational", "paper"])), samples
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_strictify_cases())
+def test_strictify_homotopy_equals_the_flow_at_every_sample_time(case):
+    X, p, s, flow, samples = case
+    q = strictify_homotopy(X, p, s, flow, samples)
+    assert len(q.segments) == len(p.segments)
+    for seg, out in zip(p.segments, q.segments):
+        grid = {seg.t0 + F(k, samples) * (seg.t1 - seg.t0) for k in range(samples + 1)}
+        times = sorted(grid | {t for t, _ in seg.points})
+        move = rational_flow if flow == "rational" else lambda u, x: _apply_flow(flow, u, x)
+        expected = [(t, tuple(move(s * t, x) for x in _interp(seg, t))) for t in times]
+        assert out.cube == seg.cube
+        assert out.points == tuple(expected)
 
 
 # -- lengths, naturalization, kinks ---------------------------------------------

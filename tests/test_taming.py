@@ -23,6 +23,7 @@ from precubical import (
     naturalize,
     path_to_kinks,
     paths_equal,
+    strictify,
     subordinate_to_collar,
     tame,
     tame_cube,
@@ -269,14 +270,16 @@ def test_tame_boundary_hugging_with_interior_breakpoints():
 
 
 @pytest.mark.parametrize(
-    "n, seed, digest",
+    "n, seed, digest, strict_digest",
     [
-        (25, 25, "86fd7df780207cee6daf2fa96d180455dcf25c908823eba8c5ffe884ac82012b"),
-        (50, 50, "065d5a2a933827003d50aee11839e4ebdf1dcd2f9f8263befc3973753eb99bf9"),
+        (25, 25, "86fd7df780207cee6daf2fa96d180455dcf25c908823eba8c5ffe884ac82012b",
+         "98cb656833ddbba35ef8690a2811c2634e9d112bb0d056d234bee679a6ef9f1a"),
+        (50, 50, "065d5a2a933827003d50aee11839e4ebdf1dcd2f9f8263befc3973753eb99bf9",
+         "d6344e485220c9f4105456529af0395f3ef638ba2f0caf3d99ad9cbe09a37bbc"),
     ],
     ids=["band25", "band50"],
 )
-def test_path_stack_documents_are_pinned(n, seed, digest):
+def test_path_stack_documents_are_pinned(n, seed, digest, strict_digest):
     # a seeded strict, non-tame path across the diagonal band of n squares,
     # with one waypoint inside each diagonal square
     X = euclidean([((i, j), (i + 1, j + 1)) for i in range(n) for j in range(n) if abs(i - j) <= 1])
@@ -292,3 +295,5 @@ def test_path_stack_documents_are_pinned(n, seed, digest):
         write_kinks(path_to_kinks(X, naturalize(X, tamed))),
     ])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    strictified = write_path(strictify(X, p), X)
+    assert hashlib.sha256(strictified.encode()).hexdigest() == strict_digest

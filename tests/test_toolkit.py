@@ -389,6 +389,28 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("command", [["naturalize"], ["strictify", "--samples", "2"]])
+@pytest.mark.parametrize(
+    "breakpoints, where",
+    [
+        ([["0", ["0", "0"]], ["1", ["2", "1"]]], "coordinate 2 outside [0, 1] at t=1"),
+        ([["0", ["0", "0"]], ["1", ["1e400", "1"]]], f"coordinate 1{'0' * 400} outside [0, 1] at t=1"),
+        ([["0", ["0", "-1/3"]], ["1/2", ["1/2", "1/2"]], ["1", ["1", "1"]]], "coordinate -1/3 outside [0, 1] at t=0"),
+    ],
+    ids=["above", "huge", "below"],
+)
+def test_cli_path_commands_refuse_coordinates_outside_the_unit_square(tmp_path, command, breakpoints, where):
+    # each path is monotone, so only the range check refuses it; without it
+    # naturalize wrote the point back and strictify wrote huge negative
+    # coordinates, both with exit 0
+    square = tmp_path / "square.json"
+    square.write_text(write_cubeset(full_cube(2)))
+    doc = {"segments": [{"cube": "**", "breakpoints": breakpoints}]}
+    r = run_cli([*command, "--cubeset", str(square)], json.dumps(doc))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == f"error: path: segment 0: {where}\n", r.stderr
+
+
 # stands for the path of a full_cube(2) cubeset file written by the test
 _SQUARE = object()
 _SEQ_FROM = ["seq", "from", "--cubeset", _SQUARE]
