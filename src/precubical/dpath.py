@@ -161,8 +161,8 @@ class PLPath:
 
 
 def path(segments: Sequence[tuple[str, Sequence]]) -> PLPath:
-    """Convenience constructor from ``(cube, [(t, coords), ...])`` pairs."""
-    return PLPath(tuple(Segment(cube, _coerce_points(pts)) for cube, pts in segments))
+    """Convenience constructor from ``(cube, [(t, coords), ...])`` pairs (``Segment`` coerces them)."""
+    return PLPath(tuple(Segment(cube, pts) for cube, pts in segments))
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -108,9 +108,7 @@ def _flags(poset: RefinementPoset, guarantee: bool | None) -> frozenset[str]:
     return frozenset(flags)
 
 
-def order_complex(
-    poset: RefinementPoset, X: CubeSet | None = None, guarantee: bool | None = None
-) -> SimplicialComplex:
+def order_complex(poset: RefinementPoset) -> SimplicialComplex:
     """The complex of totally ordered subsets of the refinement poset.
 
     Maximal simplices are the maximal chains of the poset, i.e. the
@@ -122,9 +120,8 @@ def order_complex(
     poset yields a flagged lower approximation.  On complexes that are not
     proper and non-self-linked the poset merges refinements (two splits of
     a self-linked cube can give the same chain), so the result is flagged
-    as in :func:`covering_nerve`.  The poset records whether its complex
-    is proper and non-self-linked; an explicit ``guarantee`` overrides that
-    record, and ``X`` is not read.
+    as in :func:`covering_nerve`, read from the poset's record of whether
+    its complex is proper and non-self-linked.
     """
     n = len(poset.objects)
     finer: list[list[int]] = [[] for _ in range(n)]
@@ -141,7 +138,7 @@ def order_complex(
             stack.extend(walk + (nxt,) for nxt in finer[walk[-1]])
         else:
             maximal.append(tuple(sorted(walk)))
-    return SimplicialComplex(_labels(poset), tuple(sorted(maximal)), _flags(poset, guarantee))
+    return SimplicialComplex(_labels(poset), tuple(sorted(maximal)), _flags(poset, None))
 
 
 def covering_nerve(

@@ -4,15 +4,19 @@ The taming of a strict path along a chain replaces each stage by a path
 running exactly from the stage cube's bottom vertex to its top vertex:
 coordinates outside the stage face are pinned to 0 or 1 and the free
 coordinates are rescaled affinely over the stage window.  Stage windows
-are separated by crossing times: where consecutive stage faces share a
-carrier cube the cut is the exact rational root of
+are separated by crossing times, each decided by one rule.  In the
+carrier cube of every presentation segment the j-th stage is read on its
+largest faces through its top vertex and the next stage on its largest
+faces through its bottom vertex, both located in the carrier; the cut is
+the first time, in the star of the junction vertex, that is an exact
+rational root of
 
-    m_j = (min over the j-th stage's free axes) + (max over the next stage's free axes) = 1,
+    m_j = (min over the ending face's free axes, 1 if none)
+        + (max over the starting face's free axes, 0 if none) = 1.
 
-which a strict subordinate path crosses once; where the path switches
-carrier cubes through the star of the junction vertex, the cut is the
-presentation junction time.  All arithmetic is rational, so the cuts and
-the tamed breakpoints are exact.
+Both faces are read in the carrier the segment runs in, so a stretch
+presented in a face or in a larger cube around it gives the same cut.  All
+arithmetic is rational, so the cuts and the tamed breakpoints are exact.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .carrier import FacePartition, Point, _coords_in, _embed, _in_box, canonicalize, in_star
+from .carrier import ONE, ZERO, FacePartition, Point, _coords_in, _embed, _in_box, canonicalize, in_star
 from .chains import CubeChain
 from .cubeset import CubeSet
 from .dpath import PLPath, Segment, _interp, _segments_at, _times_between, evaluate, is_strict
@@ -42,8 +46,10 @@ class MSurface:
     """The crossing surface between two consecutive stage faces.
 
     Evaluated in the coordinates of ``cube`` as ``min`` over ``min_axes``
-    plus ``max`` over ``max_axes``; the crossing time is where the value
-    reaches 1 along the path.
+    plus ``max`` over ``max_axes``; an empty side reads 1 (``min``) or 0
+    (``max``), which is how a stage met in the carrier only at the junction
+    vertex enters.  The crossing time is where the value reaches 1 along
+    the path.
     """
 
     cube: str
@@ -51,7 +57,8 @@ class MSurface:
     max_axes: tuple[int, ...]
 
     def value(self, coords: tuple[Fraction, ...]) -> Fraction:
-        return min(coords[a - 1] for a in self.min_axes) + max(coords[a - 1] for a in self.max_axes)
+        low = min([coords[a - 1] for a in self.min_axes], default=ONE)
+        return low + max([coords[a - 1] for a in self.max_axes], default=ZERO)
 
 
 @dataclass(frozen=True)
@@ -59,14 +66,13 @@ class CrossingProfile:
     """Stage windows and crossing data of a path along a chain.
 
     ``cuts`` are the strictly ascending junction times; ``surfaces`` hold
-    the surface solved at each cut, or ``None`` when the cut sits at a
-    presentation junction inside a vertex star; ``partitions`` give one
+    the surface solved at each cut; ``partitions`` give one
     embedding of each stage cube into a carrier of the path over its
     window; ``windows`` are the stage intervals.
     """
 
     cuts: tuple[Fraction, ...]
-    surfaces: tuple[MSurface | None, ...]
+    surfaces: tuple[MSurface, ...]
     partitions: tuple[FacePartition | None, ...]
     windows: tuple[tuple[Fraction, Fraction], ...]
 
@@ -76,6 +82,12 @@ def _free(word: str, coords) -> tuple:
     return tuple(x for x, ch in zip(coords, word) if ch == "*")
 
 
+def _largest(boxes: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The ``(box word, face word)`` pairs of ``boxes`` whose face has the most free axes."""
+    top = max((h.count("*") for _, h in boxes), default=-1)
+    return [(g, h) for g, h in boxes if h.count("*") == top]
+
+
 def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage: str) -> tuple[Fraction, ...] | None:
     """Face coordinates along ``stage`` of a point given in ``carrier``.
 
@@ -83,9 +95,10 @@ def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage:
     coordinates on the free axes.  A point sitting on the stage cube's own
     boundary keeps its canonical coordinates, embedded through the face's
     axis pattern.  Any other point must lie in the collar box of some face
-    of the stage inside the carrier, and the coordinates are the collar
-    retraction: frozen axes of that face contribute 0 or 1, the rest come
-    from the box's free axes.
+    of the stage inside the carrier; of the boxes holding it the largest
+    face decides, and the coordinates are its collar retraction: frozen
+    axes of that face contribute 0 or 1, the rest come from the box's free
+    axes.
     """
     direct = X._locations_of(stage).get(carrier)
     if direct:
@@ -95,26 +108,21 @@ def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage:
     on_boundary = _coords_in(X, canonicalize(X, Point(carrier, coords)), stage)
     if on_boundary:
         return on_boundary[0]
-    results = {
-        _embed(h_word, _free(g_word, coords))
-        for g_word, h_word in X._collar(stage).get(carrier, ())
-        if _in_box(coords, g_word)
-    }
-    if len(results) == 1:
-        return results.pop()
+    boxes = [(g, h) for g, h in X._collar(stage).get(carrier, ()) if _in_box(coords, g)]
+    results = {_embed(h, _free(g, coords)) for g, h in _largest(boxes)}
     if len(results) > 1:
         raise SubordinationError(f"ambiguous collar coordinates of {stage!r} in {carrier!r}")
-    return None
+    return results.pop() if results else None
 
 
 def _linear_events(seg: Segment, axes: tuple[int, ...], lo: Fraction, hi: Fraction) -> set[Fraction]:
     """Times in [lo, hi] where the active min/max coordinate can switch."""
     out: set[Fraction] = set()
-    for (ta, xa), (tb, xb) in zip(seg.points, seg.points[1:]):
-        a, b = max(ta, lo), min(tb, hi)
-        if a > b:
-            continue
-        for i, j in itertools.combinations(axes, 2):
+    for i, j in itertools.combinations(axes, 2):
+        for (ta, xa), (tb, xb) in zip(seg.points, seg.points[1:]):
+            a, b = max(ta, lo), min(tb, hi)
+            if a > b:
+                continue
             fa, fb = xa[i - 1] - xa[j - 1], xb[i - 1] - xb[j - 1]
             if fa == fb:
                 continue
@@ -124,85 +132,69 @@ def _linear_events(seg: Segment, axes: tuple[int, ...], lo: Fraction, hi: Fracti
     return out
 
 
-def _m_root_in_segment(seg: Segment, surface: MSurface, lo: Fraction, hi: Fraction) -> Fraction | None:
-    """The first time in [lo, hi] where the surface value reaches 1."""
-    if lo > hi:
+def _m_root_in_segment(seg: Segment, surface: MSurface, lo: Fraction) -> Fraction | None:
+    """The first time in [lo, seg.t1] where the surface value reaches 1.
+
+    Along a directed segment the value never decreases.  The scan walks
+    back from the end over the times where the value can bend; the root
+    lies on the piece after the last such time with a value below 1.
+    """
+    tb, vb = seg.t1, surface.value(seg.points[-1][1])
+    if vb < ONE:
         return None
-    times: set[Fraction] = {lo, hi}
-    times.update(t for t, _ in seg.points if lo < t < hi)
-    times.update(_linear_events(seg, surface.min_axes + surface.max_axes, lo, hi))
-    grid = sorted(times)
-    vals = [surface.value(_interp(seg, t)) for t in grid]
-    one = Fraction(1)
-    for k in range(len(grid)):
-        if vals[k] == one:
-            return grid[k]
-        if k + 1 < len(grid) and vals[k] < one < vals[k + 1]:
-            ta, tb, va, vb = grid[k], grid[k + 1], vals[k], vals[k + 1]
-            return ta + (one - va) / (vb - va) * (tb - ta)
-    return None
+    times: set[Fraction] = {lo}
+    times.update(t for t, _ in seg.points if lo < t < tb)
+    times.update(_linear_events(seg, surface.min_axes + surface.max_axes, lo, tb))
+    times.discard(tb)
+    for ta in sorted(times, reverse=True):
+        va = surface.value(_interp(seg, ta))
+        if va < ONE:
+            return tb if vb == ONE else ta + (ONE - va) / (vb - va) * (tb - ta)
+        tb, vb = ta, va
+    # the value is 1 or more already at lo
+    return tb if vb == ONE else None
+
+
+def _surfaces(X: CubeSet, carrier: str, ending: str, starting: str) -> list[MSurface]:
+    """The crossing surfaces of two consecutive stages read in one carrier.
+
+    The ending stage is read on its largest faces through its top vertex
+    (face words without ``0``), the starting stage on its largest faces
+    through its bottom vertex (face words without ``1``), each as located
+    in the carrier; empty when the carrier misses the junction vertex.
+    """
+
+    def axes(stage: str, side: str) -> list[tuple[int, ...]]:
+        faces = [(g, h) for g, h in X._collar(stage).get(carrier, ()) if side not in h]
+        return [_free(g, itertools.count(1)) for g, _ in _largest(faces)]
+
+    return [MSurface(carrier, a, b) for a, b in itertools.product(axes(ending, "0"), axes(starting, "1"))]
+
+
+def _crossing(X: CubeSet, p: PLPath, cur: Fraction, ending: str, starting: str, vertex: str) -> tuple[Fraction, MSurface]:
+    """The first time from ``cur`` on, in the star of ``vertex``, where the path reaches m = 1."""
+    # a segment ending at cur holds no cut after it
+    for seg in p.segments[bisect_right(p._time_index[0], cur) :]:
+        for surf in _surfaces(X, seg.cube, ending, starting):
+            root = _m_root_in_segment(seg, surf, max(cur, seg.t0))
+            if root is not None and in_star(X, Point(seg.cube, _interp(seg, root)), vertex):
+                return root, surf
+    raise SubordinationError(f"no crossing from {ending!r} to {starting!r} in the star of {vertex!r}")
 
 
 def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> tuple[tuple, tuple, tuple]:
     """Cut the path domain into one window per chain cube; returns the cuts, their surfaces and the windows."""
-    n = len(chain.cubes)
-    vertices = chain.vertex_sequence(X)
-    segs, ends = p.segments, p._time_index[0]
-    cuts: list[Fraction] = []
-    surfaces: list[MSurface | None] = []
-    cur = p.t0
-    for j in range(n - 1):
-        hosts, next_hosts = X._locations_of(chain.cubes[j]), X._locations_of(chain.cubes[j + 1])
-        star_vertex = vertices[j + 1]
-        found: tuple[Fraction, MSurface | None] | None = None
-        # the scan starts at the first segment reaching the previous cut
-        for si in range(bisect_left(ends, cur), len(segs)):
-            seg = segs[si]
-            gs = hosts.get(seg.cube)
-            gs1 = next_hosts.get(seg.cube)
-            if gs and gs1:
-                for g, g1 in itertools.product(gs, gs1):
-                    surf = MSurface(seg.cube, _free(g, itertools.count(1)), _free(g1, itertools.count(1)))
-                    root = _m_root_in_segment(seg, surf, max(cur, seg.t0), seg.t1)
-                    if root is not None and in_star(X, evaluate(X, p, root), star_vertex):
-                        found = (root, surf)
-                        break
-                if found:
-                    break
-                continue
-            if gs:
-                continue
-            # carrier hosts the next stage only, or neither; a mid-stage dip
-            # into a low cube is recognized by the current stage reappearing
-            # as a direct face further on before the next stage does
-            if not gs1:
-                reappears = False
-                for later in itertools.islice(segs, si + 1, None):
-                    if later.cube in hosts:
-                        reappears = True
-                        break
-                    if later.cube in next_hosts:
-                        break
-                if reappears:
-                    continue
-            u = max(cur, seg.t0)
-            if in_star(X, evaluate(X, p, u), star_vertex):
-                found = (u, None)
-                break
-            raise SubordinationError(
-                f"stage {j + 1} of {chain.cubes} begins at t={u} outside the star of {star_vertex!r}"
-            )
-        if found is None:
-            raise SubordinationError(f"no crossing between stages {j} and {j + 1} of {chain.cubes}")
-        cut, surf = found
-        if (cuts and cut <= cuts[-1]) or cut <= p.t0:
+    bounds = [p.t0]
+    surfaces: list[MSurface] = []
+    for ending, starting, vertex in zip(chain.cubes, chain.cubes[1:], chain.vertex_sequence(X)[1:]):
+        cut, surf = _crossing(X, p, bounds[-1], ending, starting, vertex)
+        if cut <= bounds[-1]:
             raise SubordinationError("crossing times are not strictly ascending")
-        cuts.append(cut)
+        bounds.append(cut)
         surfaces.append(surf)
-        cur = cut
-    bounds = [p.t0] + cuts + [p.t1]
-    windows = tuple((bounds[j], bounds[j + 1]) for j in range(n))
-    return tuple(cuts), tuple(surfaces), windows
+    bounds.append(p.t1)
+    windows = tuple(zip(bounds, bounds[1:])) if chain.cubes else ()
+    return tuple(bounds[1:-1]), tuple(surfaces), windows
 
 
 def _window_partition(X: CubeSet, p: PLPath, cube: str, a: Fraction, b: Fraction) -> FacePartition | None:

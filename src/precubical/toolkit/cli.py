@@ -18,7 +18,6 @@ I/O and syntax errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .. import chains as chains_mod
@@ -86,9 +85,8 @@ def cmd_check(args) -> None:
 
 
 def cmd_chains(args) -> None:
-    text = _read(args)
-    X = formats.parse_cubeset(text)
-    doc = json.loads(text)
+    doc = formats.loads(_read(args))
+    X = formats._cubeset_of(doc)
     source = args.source or doc.get("start")
     target = args.target or doc.get("end")
     if not (source and target and isinstance(source, str) and isinstance(target, str)):

@@ -113,7 +113,11 @@ def _expect(doc: dict, key: str, where: str, kind: type | None = None) -> Any:
 
 
 def parse_cubeset(text: str, check: bool = True) -> CubeSet:
-    doc = loads(text)
+    return _cubeset_of(loads(text), check)
+
+
+def _cubeset_of(doc: dict, check: bool = True) -> CubeSet:
+    """The complex of an already loaded cubeset document."""
     entries = _items(_expect(doc, "cubes", "cubeset"), dict, "cubeset 'cubes'")
     cubes: dict[str, int] = {}
     faces: dict[str, dict[tuple[int, int], str]] = {}

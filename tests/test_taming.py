@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precubical import (
+    CrossingProfile,
     CubeChain,
     FacePartition,
     Point,
@@ -14,6 +18,7 @@ from precubical import (
     SubordinationError,
     boundary_cube,
     crossing_times,
+    enumerate_chains,
     euclidean,
     evaluate,
     full_cube,
@@ -32,7 +37,13 @@ from precubical import (
 from precubical.dpath import path
 from precubical.toolkit import write_chain, write_kinks, write_path
 
-from helpers import euclidean_path, increasing_values, random_strict_tame_path, random_two_facet_path
+from helpers import (
+    euclidean_path,
+    increasing_values,
+    random_monotone_grid_path,
+    random_strict_tame_path,
+    random_two_facet_path,
+)
 
 SQ = full_cube(2)
 B3 = boundary_cube(3)
@@ -62,6 +73,9 @@ def test_crossing_profile_single_cube_chain_is_empty():
     prof = crossing_times(SQ, BENT, CubeChain("v00", "v11", ("**",)))
     assert prof.cuts == () and prof.surfaces == ()
     assert prof.windows == ((F(0), F(1)),)
+    # a path resting at a vertex has no stage at all along the empty chain
+    rest = path([("v00", [(0, ()), (1, ())])])
+    assert crossing_times(SQ, rest, CubeChain("v00", "v00", ())) == CrossingProfile((), (), (), ())
 
 
 def test_crossing_times_ascend_and_solve_exactly():
@@ -71,13 +85,13 @@ def test_crossing_times_ascend_and_solve_exactly():
         fc = finest_chain(B3, p)
         prof = crossing_times(B3, p, fc)
         assert list(prof.cuts) == sorted(set(prof.cuts))
+        assert len(prof.surfaces) == len(prof.cuts)
         for t, surf in zip(prof.cuts, prof.surfaces):
-            if surf is not None:
-                seg = [s for s in p.segments if s.t0 <= t <= s.t1 and s.cube == surf.cube]
-                assert seg, "surface cube must carry the crossing"
-                from precubical.dpath import _interp
+            seg = [s for s in p.segments if s.t0 <= t <= s.t1 and s.cube == surf.cube]
+            assert seg, "surface cube must carry the crossing"
+            from precubical.dpath import _interp
 
-                assert surf.value(_interp(seg[0], t)) == 1
+            assert surf.value(_interp(seg[0], t)) == 1
 
 
 def test_tame_cube_worked_piece():
@@ -192,10 +206,62 @@ def test_tame_across_presentation_cubes():
     assert paths_equal(B3, tame(B3, q, fc), q)
 
 
+def test_crossing_does_not_depend_on_the_presentation():
+    # one trajectory, its stretch along the edge x = 1 over [1/2, 3/4]
+    # presented in the bottom facet or in the facet x = 1
+    chain = CubeChain("v000", "v111", ("*00", "1**"))
+    p1 = path(
+        [
+            ("**0", [(0, (0, 0)), (F(1, 2), (1, F(1, 16))), (F(3, 4), (1, F(1, 8)))]),
+            ("1**", [(F(3, 4), (F(1, 8), 0)), (1, (1, 1))]),
+        ]
+    )
+    p2 = path(
+        [
+            ("**0", [(0, (0, 0)), (F(1, 2), (1, F(1, 16)))]),
+            ("1**", [(F(1, 2), (F(1, 16), 0)), (F(3, 4), (F(1, 8), 0)), (1, (1, 1))]),
+        ]
+    )
+    assert paths_equal(B3, p1, p2)
+    assert crossing_times(B3, p1, chain).cuts == crossing_times(B3, p2, chain).cuts == (F(8, 17),)
+    assert paths_equal(B3, tame(B3, p1, chain), tame(B3, p2, chain))
+
+
+def _grid_space(extent):
+    """A full euclidean grid with its chain poset between opposite corners."""
+    X = euclidean([(lo, tuple(x + 1 for x in lo)) for lo in itertools.product(*map(range, extent))])
+    corner = lambda e: "|".join([",".join(map(str, e))] * 2)
+    return X, enumerate_chains(X, corner([0] * len(extent)), corner(extent), sum(extent)), extent
+
+
+C3 = full_cube(3)
+TAMING_SPACES = [_grid_space(e) for e in [(2, 2), (3, 2), (2, 1, 1), (2, 2, 1)]]
+TAMING_SPACES.append((C3, enumerate_chains(C3, "v000", "v111", 3), None))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(TAMING_SPACES), st.integers(0, 2**32 - 1), st.booleans())
+def test_tame_succeeds_exactly_on_subordinate_pairs(space, seed, monotone):
+    X, poset, extent = space
+    rng = random.Random(seed)
+    if extent and monotone:
+        p = random_monotone_grid_path(X, extent, rng, steps=rng.randint(2, 5))
+    else:
+        p = random_strict_tame_path(X, rng.choice(poset.objects), rng)
+    for chain in poset.objects:
+        if not subordinate_to_collar(X, p, chain):
+            with pytest.raises(SubordinationError):
+                tame(X, p, chain)
+            continue
+        q = tame(X, p, chain)
+        assert is_strict(X, q) and is_tame(X, q)[0]
+        times = (p.t0, *crossing_times(X, p, chain).cuts, p.t1)
+        assert [evaluate(X, q, t) for t in times] == [Point(v, ()) for v in chain.vertex_sequence(X)]
+        assert paths_equal(X, tame(X, q, chain), q)
+
+
 def test_tame_randomized_full_suite():
     rng = random.Random(101)
-    from precubical import enumerate_chains
-
     B3_POSET = enumerate_chains(B3, "v000", "v111", 3)
     for trial in range(25):
         if trial % 2 == 0:
