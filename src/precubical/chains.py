@@ -1,11 +1,14 @@
-"""Cube chains, the refinement poset, finest chains, and common refinements.
+"""Cube chains, the refinement poset, and common refinements.
 
 A cube chain between two vertices is a sequence of positive-dimensional
 cubes in which each cube's top vertex is the next one's bottom vertex.
 Refinement (replacing a cube by a complementary lower/upper face pair,
 closed reflexively and transitively) partially orders the chains between
 fixed endpoints; that poset is the combinatorial skeleton of the schedule
-space and feeds the nerve computations.
+space and feeds the nerve computations.  This module needs only the
+complex, not its geometric realization: what relates chains to paths
+(finest chains, collar subordination, diagonal witnesses) lives in
+:mod:`precubical.taming`.
 """
 
 from __future__ import annotations
@@ -13,12 +16,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .carrier import HALF, Point, in_face_collar, in_star
 from .cubeset import CubeSet, source_vertex, target_vertex
-from .dpath import PLPath, Segment, _interp, _piece_events, _with_midpoints, evaluate, is_strict
 from .errors import PrecubicalError
 
 __all__ = [
@@ -28,12 +28,9 @@ __all__ = [
     "elementary_refinements",
     "refines",
     "enumerate_chains",
-    "finest_chain",
-    "subordinate_to_collar",
     "refinement_set",
     "coarsest_common_refinement",
     "common_refinement_exists",
-    "chain_diagonal",
 ]
 
 @dataclass(frozen=True)
@@ -258,102 +255,6 @@ def enumerate_chains(X: CubeSet, source: str, target: str, max_length: int) -> R
     return RefinementPoset(source, target, objects, tuple(covers), truncated, max_length, X.proper_non_self_linked())
 
 
-# -- the finest chain of a strict path ---------------------------------------
-
-
-def middle_crossings(X: CubeSet, p: PLPath) -> list[tuple[Fraction, str]]:
-    """All crossings of the coordinate-1/2 hyperplanes as ``(time, face)`` pairs.
-
-    Segment by segment, in time order.  A strict path meets each middle
-    hyperplane of a segment cube at most once.  The face of a crossing has
-    the word ``*`` on the coordinates equal to 1/2 at that time, ``0`` on
-    those below and ``1`` on those above, so simultaneous crossings give a
-    single pair.
-    """
-    out: list[tuple[Fraction, str]] = []
-    for seg in p.segments:
-        faces = X.iterated_faces(seg.cube)
-        times = set(_piece_events(seg))
-        times.update(t for t, coords in seg.points if HALF in coords)
-        for t in sorted(times):
-            word = "".join("*" if x == HALF else "0" if x < HALF else "1" for x in _interp(seg, t))
-            if "*" in word:
-                out.append((t, faces[word]))
-    return out
-
-
-def finest_chain(X: CubeSet, p: PLPath) -> CubeChain:
-    """The chain of middle-hyperplane faces crossed by a strict path.
-
-    Each crossing classifies the segment-cube axes into below / at / above
-    1/2 and contributes the face frozen accordingly; crossings shared by
-    two presentation segments at their junction produce the same face and
-    are merged.  Vertex endpoints are required; a path with no crossings
-    yields the empty chain.
-    """
-    if not is_strict(X, p):
-        raise PrecubicalError("finest_chain expects a strict path")
-    start = p.start_point(X)
-    end = p.end_point(X)
-    if not start.is_vertex() or not end.is_vertex():
-        raise PrecubicalError("finest_chain expects a path between vertices")
-    cubes: list[str] = []
-    last = None
-    for crossing in middle_crossings(X, p):
-        if crossing != last:
-            cubes.append(crossing[1])
-        last = crossing
-    chain = CubeChain(start.cube, end.cube, tuple(cubes))
-    chain.validate(X)
-    return chain
-
-
-# -- subordination to a collar -------------------------------------------------
-
-
-def subordinate_to_collar(X: CubeSet, p: PLPath, chain: CubeChain) -> bool:
-    """Whether the path admits cuts placing each stage in one collar.
-
-    Greedy scan over the sample times (breakpoints, 1/2-crossings, and
-    interval midpoints): stage i must stay inside the collar of the i-th
-    chain cube and each cut value must lie in the star of the junction
-    vertex.  Cuts are taken as late as possible, which is optimal because
-    a later cut only shrinks the remaining constraint intervals.
-    """
-    if p.start_point(X) != Point(chain.source, ()):
-        raise PrecubicalError("path and chain sources differ")
-    if p.end_point(X) != Point(chain.target, ()):
-        raise PrecubicalError("path and chain targets differ")
-    samples = _with_midpoints(itertools.chain(p._time_index[1], *map(_piece_events, p.segments)))
-    pts = {t: evaluate(X, p, t) for t in samples}
-    n = len(chain.cubes)
-    if n == 0:
-        origin = pts[samples[0]]
-        return all(pt == origin for pt in pts.values())
-    vertices = chain.vertex_sequence(X)
-    lo = 0
-    for i, cube in enumerate(chain.cubes):
-        in_collar_upto = lo - 1
-        for k in range(lo, len(samples)):
-            if in_face_collar(X, pts[samples[k]], cube):
-                in_collar_upto = k
-            else:
-                break
-        if in_collar_upto < lo:
-            return False
-        if i == n - 1:
-            return in_collar_upto == len(samples) - 1
-        cut = None
-        for k in range(in_collar_upto, lo - 1, -1):
-            if in_star(X, pts[samples[k]], vertices[i + 1]):
-                cut = k
-                break
-        if cut is None:
-            return False
-        lo = cut
-    return True
-
-
 # -- common refinements --------------------------------------------------------
 
 
@@ -424,25 +325,3 @@ def _ccr_brute(X: CubeSet, a: CubeChain, b: CubeChain):
     if len(maximal) == 1:
         return maximal.pop()
     return NO_COARSEST
-
-
-# -- canonical witness paths ---------------------------------------------------
-
-
-def chain_diagonal(X: CubeSet, chain: CubeChain) -> PLPath:
-    """The constant-speed diagonal path through a chain's cubes.
-
-    Runs each cube from its bottom to its top vertex along the diagonal; a
-    canonical strict tame path subordinate to the chain (and its collar).
-    """
-    chain.validate(X)
-    n = len(chain.cubes)
-    if n == 0:
-        return PLPath((Segment(chain.source, ((Fraction(0), ()), (Fraction(1), ()))),))
-    segments = []
-    for i, c in enumerate(chain.cubes):
-        d = X.dim(c)
-        zero = (Fraction(0),) * d
-        one = (Fraction(1),) * d
-        segments.append(Segment(c, ((Fraction(i, n), zero), (Fraction(i + 1, n), one))))
-    return PLPath(tuple(segments))

@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import PrecubicalError, UnknownCubeError
 
@@ -365,6 +365,27 @@ def is_non_self_linked(X: CubeSet) -> tuple[bool, tuple[str, int] | None]:
 
 # -- generators --------------------------------------------------------------
 
+MAX_FACE_ENTRIES = 1_000_000
+"""The most face-map entries a generator builds: ``full_cube(10)`` has 393,660, ``full_cube(11)`` 1,299,078."""
+
+
+def _check_size(kind: str, n: int, entries: Callable[[int], int]) -> None:
+    """Refuse a negative dimension, or a face table of more than ``MAX_FACE_ENTRIES`` entries.
+
+    ``entries(n)`` counts the face maps the generator would build.  Every
+    generator's count is at least ``n**2`` once ``n >= 2``, so a larger
+    ``n`` is refused without counting (a large full cube's count is itself
+    a huge integer).
+    """
+    if n < 0:
+        raise PrecubicalError("dimension must be non-negative")
+    size = entries(n) if n * n <= MAX_FACE_ENTRIES else None
+    if size is None or size > MAX_FACE_ENTRIES:
+        count = f"at least {n * n:,}" if size is None else f"{size:,}"
+        raise PrecubicalError(
+            f"{kind}({n}) would build {count} face-table entries, over the limit of {MAX_FACE_ENTRIES:,}"
+        )
+
 
 def _word_id(word: str) -> str:
     if "*" in word or word == "":
@@ -379,8 +400,7 @@ def full_cube(n: int) -> CubeSet:
     ``v`` prefix (``v01``), so the top cell of ``full_cube(2)`` is ``**``
     and its source vertex is ``v00``.
     """
-    if n < 0:
-        raise PrecubicalError("dimension must be non-negative")
+    _check_size("full_cube", n, lambda n: 2 * n * 3**n // 3)
     cubes: dict[str, int] = {}
     faces: dict[str, dict[tuple[int, int], str]] = {}
     for word_tuple in itertools.product("0*1", repeat=n):
@@ -401,6 +421,7 @@ def full_cube(n: int) -> CubeSet:
 
 def boundary_cube(n: int) -> CubeSet:
     """The boundary of the n-cube: ``full_cube(n)`` without its top cell."""
+    _check_size("boundary_cube", n, lambda n: 2 * n * 3**n // 3 - 2 * n)
     X = full_cube(n)
     cubes = {c: X.dim(c) for c in X.cubes() if X.dim(c) < n}
     faces = {c: X.face_table(c) for c in cubes if X.dim(c) > 0}
@@ -476,8 +497,7 @@ def z_complex(n: int) -> CubeSet:
     Not proper and self-linked for ``n >= 1``: all faces of the k-cube are
     the single (k-1)-cube.
     """
-    if n < 0:
-        raise PrecubicalError("dimension must be non-negative")
+    _check_size("z_complex", n, lambda n: n * (n + 1))
     cubes = {f"c{k}": k for k in range(n + 1)}
     faces = {
         f"c{k}": {(i, alpha): f"c{k - 1}" for i in range(1, k + 1) for alpha in (0, 1)}
@@ -497,8 +517,7 @@ def q_complex(n: int) -> CubeSet:
     violates them) and by the bottom/top vertex weights of the classes.
     Proper but self-linked for ``n >= 2``.
     """
-    if n < 0:
-        raise PrecubicalError("dimension must be non-negative")
+    _check_size("q_complex", n, lambda n: n * (n + 1) * (n + 2) // 3)
     cubes = {f"q{k}_{j}": k for k in range(n + 1) for j in range(n - k + 1)}
     faces = {
         f"q{k}_{j}": {(i, alpha): f"q{k - 1}_{j + alpha}" for i in range(1, k + 1) for alpha in (0, 1)}

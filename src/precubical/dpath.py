@@ -57,11 +57,28 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+_FRACTION = frozenset({Fraction})
+
+
 def _coerce_points(points: Iterable) -> tuple[Breakpoint, ...]:
-    out = []
-    for t, coords in points:
-        out.append((_frac(t), tuple(_frac(x) for x in coords)))
-    return tuple(out)
+    """``points`` as a tuple of ``(time, coordinates)`` tuples of ``Fraction``s.
+
+    Input that already has this exact shape is returned as it is; anything
+    else is copied, converting each entry.
+    """
+    if type(points) is tuple:
+        for bp in points:
+            if (
+                type(bp) is not tuple
+                or len(bp) != 2
+                or type(bp[0]) is not Fraction
+                or type(bp[1]) is not tuple
+                or not _FRACTION.issuperset(map(type, bp[1]))
+            ):
+                break
+        else:
+            return points
+    return tuple((_frac(t), tuple(map(_frac, coords))) for t, coords in points)
 
 
 @dataclass(frozen=True)

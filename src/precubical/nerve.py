@@ -22,11 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .chains import RefinementPoset
-from .cubeset import CubeSet
 from .errors import PrecubicalError
+
+if TYPE_CHECKING:  # annotations only: homology needs neither chains nor complexes
+    from .chains import RefinementPoset
+    from .cubeset import CubeSet
 
 __all__ = [
     "SimplicialComplex",

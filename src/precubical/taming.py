@@ -1,4 +1,9 @@
-"""Cube-wise taming of strict paths subordinate to a cube chain's collar.
+"""Strict paths along cube chains: finest chains, subordination, taming.
+
+This is the layer where paths meet chains.  A strict path determines
+its finest chain (the faces of its middle-hyperplane crossings), may be
+subordinate to the collar of a chain, and every chain has a diagonal
+witness path.
 
 The taming of a strict path along a chain replaces each stage by a path
 running exactly from the stage cube's bottom vertex to its top vertex:
@@ -26,13 +31,38 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .carrier import ONE, ZERO, FacePartition, Point, _coords_in, _embed, _in_box, canonicalize, in_star
+from .carrier import (
+    HALF,
+    ONE,
+    ZERO,
+    FacePartition,
+    Point,
+    _coords_in,
+    _embed,
+    _in_box,
+    canonicalize,
+    in_face_collar,
+    in_star,
+)
 from .chains import CubeChain
 from .cubeset import CubeSet
-from .dpath import PLPath, Segment, _interp, _segments_at, _times_between, evaluate, is_strict
+from .dpath import (
+    PLPath,
+    Segment,
+    _interp,
+    _piece_events,
+    _segments_at,
+    _times_between,
+    _with_midpoints,
+    evaluate,
+    is_strict,
+)
 from .errors import PrecubicalError, SubordinationError
 
 __all__ = [
+    "finest_chain",
+    "subordinate_to_collar",
+    "chain_diagonal",
     "MSurface",
     "CrossingProfile",
     "crossing_times",
@@ -344,3 +374,121 @@ def taming_homotopy(X: CubeSet, p: PLPath, chain: CubeChain, s) -> PLPath:
     result = PLPath(tuple(segments))
     result.validate(X)
     return result
+
+
+# -- the finest chain of a strict path ---------------------------------------
+
+
+def middle_crossings(X: CubeSet, p: PLPath) -> list[tuple[Fraction, str]]:
+    """All crossings of the coordinate-1/2 hyperplanes as ``(time, face)`` pairs.
+
+    Segment by segment, in time order.  A strict path meets each middle
+    hyperplane of a segment cube at most once.  The face of a crossing has
+    the word ``*`` on the coordinates equal to 1/2 at that time, ``0`` on
+    those below and ``1`` on those above, so simultaneous crossings give a
+    single pair.
+    """
+    out: list[tuple[Fraction, str]] = []
+    for seg in p.segments:
+        faces = X.iterated_faces(seg.cube)
+        times = set(_piece_events(seg))
+        times.update(t for t, coords in seg.points if HALF in coords)
+        for t in sorted(times):
+            word = "".join("*" if x == HALF else "0" if x < HALF else "1" for x in _interp(seg, t))
+            if "*" in word:
+                out.append((t, faces[word]))
+    return out
+
+
+def finest_chain(X: CubeSet, p: PLPath) -> CubeChain:
+    """The chain of middle-hyperplane faces crossed by a strict path.
+
+    Each crossing classifies the segment-cube axes into below / at / above
+    1/2 and contributes the face frozen accordingly; crossings shared by
+    two presentation segments at their junction produce the same face and
+    are merged.  Vertex endpoints are required; a path with no crossings
+    yields the empty chain.
+    """
+    if not is_strict(X, p):
+        raise PrecubicalError("finest_chain expects a strict path")
+    start = p.start_point(X)
+    end = p.end_point(X)
+    if not start.is_vertex() or not end.is_vertex():
+        raise PrecubicalError("finest_chain expects a path between vertices")
+    cubes: list[str] = []
+    last = None
+    for crossing in middle_crossings(X, p):
+        if crossing != last:
+            cubes.append(crossing[1])
+        last = crossing
+    chain = CubeChain(start.cube, end.cube, tuple(cubes))
+    chain.validate(X)
+    return chain
+
+
+# -- subordination to a collar -------------------------------------------------
+
+
+def subordinate_to_collar(X: CubeSet, p: PLPath, chain: CubeChain) -> bool:
+    """Whether the path admits cuts placing each stage in one collar.
+
+    Greedy scan over the sample times (breakpoints, 1/2-crossings, and
+    interval midpoints): stage i must stay inside the collar of the i-th
+    chain cube and each cut value must lie in the star of the junction
+    vertex.  Cuts are taken as late as possible, which is optimal because
+    a later cut only shrinks the remaining constraint intervals.
+    """
+    if p.start_point(X) != Point(chain.source, ()):
+        raise PrecubicalError("path and chain sources differ")
+    if p.end_point(X) != Point(chain.target, ()):
+        raise PrecubicalError("path and chain targets differ")
+    samples = _with_midpoints(itertools.chain(p._time_index[1], *map(_piece_events, p.segments)))
+    pts = {t: evaluate(X, p, t) for t in samples}
+    n = len(chain.cubes)
+    if n == 0:
+        origin = pts[samples[0]]
+        return all(pt == origin for pt in pts.values())
+    vertices = chain.vertex_sequence(X)
+    lo = 0
+    for i, cube in enumerate(chain.cubes):
+        in_collar_upto = lo - 1
+        for k in range(lo, len(samples)):
+            if in_face_collar(X, pts[samples[k]], cube):
+                in_collar_upto = k
+            else:
+                break
+        if in_collar_upto < lo:
+            return False
+        if i == n - 1:
+            return in_collar_upto == len(samples) - 1
+        cut = None
+        for k in range(in_collar_upto, lo - 1, -1):
+            if in_star(X, pts[samples[k]], vertices[i + 1]):
+                cut = k
+                break
+        if cut is None:
+            return False
+        lo = cut
+    return True
+
+
+# -- canonical witness paths ---------------------------------------------------
+
+
+def chain_diagonal(X: CubeSet, chain: CubeChain) -> PLPath:
+    """The constant-speed diagonal path through a chain's cubes.
+
+    Runs each cube from its bottom to its top vertex along the diagonal; a
+    canonical strict tame path subordinate to the chain (and its collar).
+    """
+    chain.validate(X)
+    n = len(chain.cubes)
+    if n == 0:
+        return PLPath((Segment(chain.source, ((Fraction(0), ()), (Fraction(1), ()))),))
+    segments = []
+    for i, c in enumerate(chain.cubes):
+        d = X.dim(c)
+        zero = (Fraction(0),) * d
+        one = (Fraction(1),) * d
+        segments.append(Segment(c, ((Fraction(i, n), zero), (Fraction(i + 1, n), one))))
+    return PLPath(tuple(segments))

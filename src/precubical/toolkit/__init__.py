@@ -1,39 +1,29 @@
-"""File formats, PV-program ingestion, and the command-line interface."""
+"""File formats, PV-program ingestion, and the command-line interface.
 
-from .formats import (
-    parse_chain,
-    parse_complex,
-    parse_cubeset,
-    parse_homology,
-    parse_kinks,
-    parse_path,
-    parse_poset,
-    write_chain,
-    write_complex,
-    write_cubeset,
-    write_homology,
-    write_kinks,
-    write_path,
-    write_poset,
+The names below are re-exported lazily, like those of :mod:`precubical`.
+"""
+
+from .. import _lazy_exports
+
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "formats": (
+            "parse_cubeset",
+            "write_cubeset",
+            "parse_path",
+            "write_path",
+            "parse_chain",
+            "write_chain",
+            "parse_kinks",
+            "write_kinks",
+            "parse_poset",
+            "write_poset",
+            "parse_complex",
+            "write_complex",
+            "parse_homology",
+            "write_homology",
+        ),
+        "pv": ("PVProgram", "parse_pv", "pv_to_euclidean"),
+    },
 )
-from .pv import PVProgram, parse_pv, pv_to_euclidean
-
-__all__ = [
-    "parse_cubeset",
-    "write_cubeset",
-    "parse_path",
-    "write_path",
-    "parse_chain",
-    "write_chain",
-    "parse_kinks",
-    "write_kinks",
-    "parse_poset",
-    "write_poset",
-    "parse_complex",
-    "write_complex",
-    "parse_homology",
-    "write_homology",
-    "PVProgram",
-    "parse_pv",
-    "pv_to_euclidean",
-]

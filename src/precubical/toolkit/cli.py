@@ -19,21 +19,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from .. import chains as chains_mod
-from .. import cubeset as cubeset_mod
-from .. import dpath as dpath_mod
-from .. import nerve as nerve_mod
-from .. import taming as taming_mod
 from ..errors import FormatError, PrecubicalError
-from . import formats, pv as pv_mod
+from . import formats
 
-GENERATORS = {
-    "full-cube": cubeset_mod.full_cube,
-    "boundary-cube": cubeset_mod.boundary_cube,
-    "z-complex": cubeset_mod.z_complex,
-    "q-complex": cubeset_mod.q_complex,
-}
+if TYPE_CHECKING:
+    from ..cubeset import CubeSet
+
+# Each command imports the modules it runs, so parsing the arguments loads
+# no compute module and a pipeline stage loads only its own layers.
+GENERATORS = ("boundary-cube", "full-cube", "q-complex", "z-complex")
 
 
 def _read(args) -> str:
@@ -51,7 +47,7 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_cubeset_arg(args) -> cubeset_mod.CubeSet:
+def _load_cubeset_arg(args) -> CubeSet:
     if not getattr(args, "cubeset", None):
         raise FormatError("this command needs --cubeset FILE")
     with open(args.cubeset, "r", encoding="utf-8") as fh:
@@ -59,13 +55,17 @@ def _load_cubeset_arg(args) -> cubeset_mod.CubeSet:
 
 
 def cmd_gen(args) -> None:
-    gen = GENERATORS[args.kind]
+    from .. import cubeset
+
+    gen = getattr(cubeset, args.kind.replace("-", "_"))
     _write(args, formats.write_cubeset(gen(args.n)))
 
 
 def cmd_check(args) -> None:
+    from ..cubeset import is_non_self_linked, is_proper, validate
+
     X = formats.parse_cubeset(_read(args), check=False)
-    violations = cubeset_mod.validate(X)
+    violations = validate(X)
     report: dict = {
         "valid": not violations,
         "violations": [
@@ -73,8 +73,8 @@ def cmd_check(args) -> None:
         ],
     }
     if not violations:
-        proper, pw = cubeset_mod.is_proper(X)
-        nsl, nw = cubeset_mod.is_non_self_linked(X)
+        proper, pw = is_proper(X)
+        nsl, nw = is_non_self_linked(X)
         report["proper"] = proper
         report["non_self_linked"] = nsl
         if pw:
@@ -85,52 +85,66 @@ def cmd_check(args) -> None:
 
 
 def cmd_chains(args) -> None:
+    from ..chains import enumerate_chains
+
     doc = formats.loads(_read(args))
     X = formats._cubeset_of(doc)
     source = args.source or doc.get("start")
     target = args.target or doc.get("end")
     if not (source and target and isinstance(source, str) and isinstance(target, str)):
         raise FormatError("need --from/--to (or a cubeset with embedded start/end ids)")
-    poset = chains_mod.enumerate_chains(X, source, target, args.max_len)
+    poset = enumerate_chains(X, source, target, args.max_len)
     _write(args, formats.write_poset(poset))
 
 
 def cmd_nerve(args) -> None:
+    from ..nerve import covering_nerve, order_complex
+
     poset = formats.parse_poset(_read(args))
     if args.covering:
-        K = nerve_mod.covering_nerve(None, poset)
+        K = covering_nerve(None, poset)
     else:
-        K = nerve_mod.order_complex(poset)
+        K = order_complex(poset)
     _write(args, formats.write_complex(K))
 
 
 def cmd_homology(args) -> None:
+    from ..nerve import homology
+
     K = formats.parse_complex(_read(args))
-    _write(args, formats.write_homology(nerve_mod.homology(K)))
+    _write(args, formats.write_homology(homology(K)))
 
 
 def cmd_strictify(args) -> None:
+    from ..dpath import strictify
+
     X = _load_cubeset_arg(args)
     p = formats.parse_path(_read(args), X)
-    out = dpath_mod.strictify(X, p.normalized(), flow=args.flow, samples=args.samples)
+    out = strictify(X, p.normalized(), flow=args.flow, samples=args.samples)
     _write(args, formats.write_path(out, X))
 
 
 def cmd_tame(args) -> None:
+    from ..taming import tame
+
     X = _load_cubeset_arg(args)
     p = formats.parse_path(_read(args), X)
     with open(args.chain, "r", encoding="utf-8") as fh:
         chain = formats.parse_chain(fh.read(), X)
-    _write(args, formats.write_path(taming_mod.tame(X, p.normalized(), chain), X))
+    _write(args, formats.write_path(tame(X, p.normalized(), chain), X))
 
 
 def cmd_naturalize(args) -> None:
+    from ..dpath import naturalize
+
     X = _load_cubeset_arg(args)
     p = formats.parse_path(_read(args), X)
-    _write(args, formats.write_path(dpath_mod.naturalize(X, p), X))
+    _write(args, formats.write_path(naturalize(X, p), X))
 
 
 def cmd_finest(args) -> None:
+    from ..taming import finest_chain
+
     X = _load_cubeset_arg(args)
     if args.path == "-":
         text = sys.stdin.read()
@@ -138,23 +152,27 @@ def cmd_finest(args) -> None:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
     p = formats.parse_path(text, X)
-    _write(args, formats.write_chain(chains_mod.finest_chain(X, p)))
+    _write(args, formats.write_chain(finest_chain(X, p)))
 
 
 def cmd_seq(args) -> None:
+    from ..dpath import kinks_to_path, path_to_kinks
+
     X = _load_cubeset_arg(args)
     if args.direction == "to":
         p = formats.parse_path(_read(args), X)
-        _write(args, formats.write_kinks(dpath_mod.path_to_kinks(X, p)))
+        _write(args, formats.write_kinks(path_to_kinks(X, p)))
     else:
         ks = formats.parse_kinks(_read(args), X)
-        _write(args, formats.write_path(dpath_mod.kinks_to_path(X, ks), X))
+        _write(args, formats.write_path(kinks_to_path(X, ks), X))
 
 
 def cmd_pv(args) -> None:
+    from .pv import parse_pv, pv_to_euclidean
+
     with open(args.file, "r", encoding="utf-8") as fh:
-        prog = pv_mod.parse_pv(fh.read())
-    X, start, end = pv_mod.pv_to_euclidean(prog)
+        prog = parse_pv(fh.read())
+    X, start, end = pv_to_euclidean(prog)
     _write(args, formats.write_cubeset(X, extra={"start": start, "end": end}))
 
 
@@ -170,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cubeset", required=True, help="the complex the document refers to")
 
     p = sub.add_parser("gen", help="generate a named complex")
-    p.add_argument("kind", choices=sorted(GENERATORS))
+    p.add_argument("kind", choices=GENERATORS)
     p.add_argument("n", type=int)
     common(p, reads_document=False)
     p.set_defaults(func=cmd_gen)

@@ -26,14 +26,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from ..carrier import Point, canonicalize
-from ..chains import CubeChain, RefinementPoset
-from ..cubeset import CubeSet, validate
-from ..dpath import KinkSequence, PLPath, Segment
 from ..errors import FormatError, PrecubicalError
-from ..nerve import HomologyResult, SimplicialComplex
+
+# Each parser imports the module of its own document kind, so a process
+# loads only the layers of the documents it reads.
+if TYPE_CHECKING:
+    from ..chains import CubeChain, RefinementPoset
+    from ..cubeset import CubeSet
+    from ..dpath import KinkSequence, PLPath
+    from ..nerve import HomologyResult, SimplicialComplex
 
 __all__ = [
     "parse_cubeset",
@@ -118,6 +121,8 @@ def parse_cubeset(text: str, check: bool = True) -> CubeSet:
 
 def _cubeset_of(doc: dict, check: bool = True) -> CubeSet:
     """The complex of an already loaded cubeset document."""
+    from ..cubeset import CubeSet, validate
+
     entries = _items(_expect(doc, "cubes", "cubeset"), dict, "cubeset 'cubes'")
     cubes: dict[str, int] = {}
     faces: dict[str, dict[tuple[int, int], str]] = {}
@@ -170,6 +175,8 @@ def write_cubeset(X: CubeSet, extra: dict | None = None) -> str:
 
 
 def parse_path(text: str, X: CubeSet | None = None) -> PLPath:
+    from ..dpath import PLPath, Segment
+
     doc = loads(text)
     segs_doc = _items(_expect(doc, "segments", "path"), dict, "path 'segments'")
     if not segs_doc:
@@ -227,6 +234,8 @@ def write_path(p: PLPath, X: CubeSet | None = None) -> str:
 
 
 def parse_chain(text: str, X: CubeSet | None = None) -> CubeChain:
+    from ..chains import CubeChain
+
     doc = loads(text)
     chain = CubeChain(
         _expect(doc, "from", "chain", str),
@@ -246,6 +255,8 @@ def write_chain(chain: CubeChain) -> str:
 
 
 def parse_poset(text: str) -> RefinementPoset:
+    from ..chains import CubeChain, RefinementPoset
+
     doc = loads(text)
     source = _expect(doc, "from", "poset", str)
     target = _expect(doc, "to", "poset", str)
@@ -296,6 +307,9 @@ def write_poset(poset: RefinementPoset, proper_non_self_linked: bool | None = No
 
 
 def parse_kinks(text: str, X: CubeSet | None = None) -> KinkSequence:
+    from ..carrier import Point, canonicalize
+    from ..dpath import KinkSequence
+
     doc = loads(text)
     pts = []
     for k, entry in enumerate(_items(_expect(doc, "points", "kinks"), dict, "kinks 'points'")):
@@ -330,6 +344,8 @@ def write_kinks(ks: KinkSequence) -> str:
 
 
 def parse_complex(text: str) -> SimplicialComplex:
+    from ..nerve import SimplicialComplex
+
     doc = loads(text)
     labels = tuple(_items(_expect(doc, "vertices", "complex"), str, "complex 'vertices'"))
     simplices = _items(_expect(doc, "maximal_simplices", "complex"), list, "complex 'maximal_simplices'")
@@ -359,6 +375,8 @@ def write_complex(K: SimplicialComplex) -> str:
 
 
 def parse_homology(text: str) -> HomologyResult:
+    from ..nerve import HomologyResult
+
     doc = loads(text)
     torsion = _items(_expect(doc, "torsion", "homology"), list, "homology 'torsion'")
     return HomologyResult(

@@ -20,6 +20,7 @@ from precubical import (
     z_complex,
 )
 
+from precubical.cubeset import MAX_FACE_ENTRIES
 from precubical.toolkit import parse_pv, pv_to_euclidean
 
 from helpers import glued_squares
@@ -141,6 +142,18 @@ def test_euclidean_rejects_bad_boxes():
         BoxSpec((0, 0), (2, 1))
     with pytest.raises(PrecubicalError):
         euclidean([((0,), (1,)), ((0, 0), (1, 1))])
+
+
+def test_generators_refuse_oversized_face_tables_before_building():
+    assert MAX_FACE_ENTRIES >= 2 * 10 * 3**9  # full_cube(10) and boundary_cube(10) stay in reach
+    with pytest.raises(PrecubicalError, match=r"full_cube\(40\) would build 324,204,412,241,518,101,360 face-table"):
+        full_cube(40)
+    for gen, n in [(boundary_cube, 11), (boundary_cube, 10**9), (z_complex, 1000), (q_complex, 200), (z_complex, 10**12)]:
+        with pytest.raises(PrecubicalError, match=rf"{gen.__name__}\({n}\) would build .* over the limit of 1,000,000"):
+            gen(n)
+    for gen in (full_cube, boundary_cube, z_complex, q_complex):
+        with pytest.raises(PrecubicalError, match="non-negative"):
+            gen(-1)
 
 
 def test_generators_always_validate():

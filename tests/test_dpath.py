@@ -68,6 +68,21 @@ def test_junction_evaluates_identically_from_both_sides():
     assert evaluate(E, p, F(1, 2)) == Point("0,1|1,1", (F(1, 3),))
 
 
+def test_segment_coerces_inexact_breakpoints_and_keeps_exact_ones():
+    seg = Segment("**", [(0, [0, "1/3"]), ("1/2", (1, F(2, 3))), (True, (1, 1))])
+    assert seg.points == ((0, (0, F(1, 3))), (F(1, 2), (1, F(2, 3))), (1, (1, 1)))
+    assert all(type(x) is F for t, coords in seg.points for x in (t, *coords))
+    assert all(type(bp) is tuple and type(bp[1]) is tuple for bp in seg.points)
+    exact = ((F(0), (F(0), F(0))), (F(1), (F(1), F(1))))
+    assert Segment("**", exact).points is exact
+    with pytest.raises(PrecubicalError, match="strictly increase"):
+        Segment("**", [(0, (0, 0)), ("0", (1, 1))])
+    with pytest.raises(PrecubicalError, match="strictly increase"):
+        Segment("**", ((F(1), (F(0),)), (F(1, 2), (F(1),))))
+    with pytest.raises(ValueError):
+        Segment("**", [(0, ("x",)), (1, (1,))])
+
+
 def test_junction_mismatch_rejected():
     E = two_stacked_squares()
     p = path(

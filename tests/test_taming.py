@@ -28,6 +28,7 @@ from precubical import (
     naturalize,
     path_to_kinks,
     paths_equal,
+    q_complex,
     strictify,
     subordinate_to_collar,
     tame,
@@ -173,6 +174,26 @@ def test_tame_keeps_boundary_hugging_paths_via_collar_coordinates():
     corner = path([("*0", [(0, (F(0),)), (F(1, 2), (F(1),))]), ("1*", [(F(1, 2), (F(0),)), (1, (F(1),))])])
     q = tame(SQ, corner, CubeChain("v00", "v11", ("**",)))
     assert paths_equal(SQ, q, corner)
+
+
+Q2 = q_complex(2)
+
+
+@pytest.mark.parametrize(
+    "second",
+    [("q1_1", [(F(1, 2), (0,)), (1, (1,))]), ("q2_0", [(F(1, 2), (1, 0)), (1, (1, 1))])],
+    ids=["then-the-edge", "then-the-other-presentation"],
+)
+def test_tame_reads_a_stage_end_from_the_later_segment_on_a_self_linked_square(second):
+    # q2_0 has q1_0 as both lower faces: the path runs up its left edge to
+    # the vertex q0_1 at t = 1/2, where the cut falls.  Read in q2_0 the
+    # stage q1_0 would come out at (0,) through its first embedding "*0",
+    # so the stage's end value must come from the segment after the cut.
+    p = path([("q2_0", [(0, (0, 0)), (F(1, 2), (0, 1))]), second])
+    chain = CubeChain("q0_0", "q0_2", ("q1_0", "q1_1"))
+    assert is_strict(Q2, p)
+    assert crossing_times(Q2, p, chain).cuts == (F(1, 2),)
+    assert tame(Q2, p, chain) == path([("q1_0", [(0, (0,)), (F(1, 2), (1,))]), ("q1_1", [(F(1, 2), (0,)), (1, (1,))])])
 
 
 def test_taming_homotopy_midpoint_and_endpoints():

@@ -306,6 +306,18 @@ def test_cli_poset_without_its_guarantee_is_refused():
     assert r.stderr == "error: poset: missing key 'proper_non_self_linked'\n", r.stderr
 
 
+def test_cli_gen_refuses_an_oversized_cube_at_once():
+    r = subprocess.run(
+        [sys.executable, "-m", "precubical.toolkit.cli", "gen", "full-cube", "40"],
+        capture_output=True,
+        text=True,
+        env=CLI_ENV,
+        timeout=30,
+    )
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("error: full_cube(40) would build 324,204,412,241,518,101,360 face-table entries")
+
+
 def test_cli_outputs_are_deterministic():
     a = run_cli(["gen", "full-cube", "2"]).stdout
     b = run_cli(["gen", "full-cube", "2"]).stdout
