@@ -35,6 +35,16 @@ __all__ = [
 ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
+def _rational(x, what: str = "value") -> Fraction:
+    """``x`` as a ``Fraction``, or a :class:`PrecubicalError` naming it if it is not a rational number."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise PrecubicalError(f"{what} must be a rational number, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class FacePartition:
     """A partition of the axes 1..n into frozen-at-0, free, and frozen-at-1.
@@ -85,7 +95,7 @@ class Point:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.coords)
+        coords = tuple(x if isinstance(x, Fraction) else _rational(x, "coordinate") for x in self.coords)
         object.__setattr__(self, "coords", coords)
         for x in self.coords:
             if not 0 <= x.numerator <= x.denominator:

@@ -11,7 +11,9 @@ Each path lazily builds one time index on first use: the ascending
 segment end times and the distinct breakpoint times.  Paths are
 immutable, so the index never goes stale; every per-time lookup (the
 segments holding a time, the breakpoints inside an interval) bisects it
-instead of scanning all segments.
+instead of scanning all segments.  Whole-path scans (tameness, collar
+subordination, middle crossings) need no lookup: they walk the segments
+in order, and each segment lists its own samples (see :func:`_samples`).
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .carrier import HALF, Point, _coords_in, canonicalize, l1_distance_in_cube, leq_in_cube
+from .carrier import HALF, ONE, ZERO, Point, _coords_in, _rational, canonicalize, l1_distance_in_cube, leq_in_cube
 from .cubeset import CubeSet
 from .errors import PrecubicalError
 
@@ -53,10 +55,6 @@ __all__ = [
 Breakpoint = tuple[Fraction, tuple[Fraction, ...]]
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 _FRACTION = frozenset({Fraction})
 
 
@@ -78,7 +76,7 @@ def _coerce_points(points: Iterable) -> tuple[Breakpoint, ...]:
                 break
         else:
             return points
-    return tuple((_frac(t), tuple(map(_frac, coords))) for t, coords in points)
+    return tuple((_rational(t, "time"), tuple([_rational(x, "coordinate") for x in coords])) for t, coords in points)
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,7 @@ def _interp(seg: Segment, t: Fraction) -> tuple[Fraction, ...]:
 
 def evaluate(X: CubeSet, p: PLPath, t) -> Point:
     """The canonical point of the path at time ``t``."""
-    t = _frac(t)
+    t = _rational(t, "time")
     segs = _segments_at(p, t)
     if not segs:
         raise PrecubicalError(f"time {t} outside the path domain [{p.t0}, {p.t1}]")
@@ -261,54 +259,38 @@ def is_strict(X: CubeSet, p: PLPath) -> bool:
     return True
 
 
-def _piece_events(seg: Segment) -> list[Fraction]:
-    """Times (besides breakpoints) where some coordinate hits 0, 1, or 1/2."""
-    out: list[Fraction] = []
-    for (ta, xa), (tb, xb) in zip(seg.points, seg.points[1:]):
-        for x, y in zip(xa, xb):
-            if y == x:
-                continue
-            for level in (Fraction(0), HALF, Fraction(1)):
-                if x < level < y:
-                    out.append(ta + (level - x) / (y - x) * (tb - ta))
-    return out
+_BREAKPOINT, _CROSSING, _MIDPOINT = "breakpoint", "crossing", "midpoint"
 
 
-def _vertex_times(X: CubeSet, p: PLPath) -> list[Fraction]:
-    """All times at which the path sits at a vertex.
+def _samples(seg: Segment, first: bool = True) -> Iterator[tuple[str, Fraction, tuple[Fraction, ...]]]:
+    """The samples of one segment as ``(kind, time, coordinates)``, in time order.
 
-    Between consecutive breakpoints each coordinate is affine, so it can
-    only sit at 0 or 1 on a whole piece or reach them at a piece end;
-    vertex visits therefore happen exactly at breakpoint times.
+    The samples are every breakpoint (``_BREAKPOINT``), every time strictly
+    inside a piece where some coordinate rises through 1/2 (``_CROSSING``,
+    one sample for simultaneous crossings), and the midpoint between each
+    pair of consecutive samples (``_MIDPOINT``), each interpolated from the
+    two ends of its piece.  Between consecutive samples of a directed
+    segment every coordinate stays on one side of 1/2 and either stays at
+    0 or 1 or stays off them, so the minimal carrier and the collar boxes
+    holding the point are those of the midpoint: a predicate that only
+    reads these is decided on the samples.  With ``first=False`` the first
+    breakpoint is left out, as a junction is read on the earlier segment.
     """
-    return [t for t in p._time_index[1] if evaluate(X, p, t).is_vertex()]
-
-
-def _piece_carrier(X: CubeSet, p: PLPath, a: Fraction, b: Fraction) -> str | None:
-    """A cube containing the whole sub-path on [a, b] (with a < b), or None.
-
-    The open interval between consecutive sample times has a constant
-    minimal carrier, so midpoint carriers together with endpoint carriers
-    determine containment.  Returns a common coface of minimal dimension.
-    """
-    times = _with_midpoints([a, *_times_between(p, a, b), b])
-    least = _least_carriers(X, (evaluate(X, p, t).cube for t in times))
-    return least[0] if least else None
-
-
-def _least_carriers(X: CubeSet, cubes: Iterable[str]) -> list[str]:
-    """The common carriers of least dimension of some cubes, sorted; empty if there are none.
-
-    Stops reading ``cubes`` as soon as the common carriers run out.
-    """
-    common = None
-    for c in cubes:
-        carriers = X._locations_of(c).keys()
-        common = carriers if common is None else common & carriers
-        if not common:
-            return []
-    least = min(X.dim(c) for c in common)
-    return sorted(c for c in common if X.dim(c) == least)
+    pts = seg.points
+    if first:
+        t, x = pts[0]
+        yield _BREAKPOINT, t, x
+    for (ta, xa), (tb, xb) in zip(pts, pts[1:]):
+        dt, rises = tb - ta, [b - a for a, b in zip(xa, xb)]
+        crossings = sorted({(HALF - a) / (b - a) for a, b in zip(xa, xb) if a < HALF < b})
+        last = ZERO
+        for lam in (*crossings, ONE):
+            mid = (last + lam) / 2
+            yield _MIDPOINT, ta + mid * dt, tuple([a + mid * r for a, r in zip(xa, rises)])
+            if lam < ONE:
+                yield _CROSSING, ta + lam * dt, tuple([a + lam * r for a, r in zip(xa, rises)])
+            last = lam
+        yield _BREAKPOINT, tb, xb
 
 
 def is_tame(X: CubeSet, p: PLPath) -> tuple[bool, tuple[Fraction, ...] | None]:
@@ -317,15 +299,25 @@ def is_tame(X: CubeSet, p: PLPath) -> tuple[bool, tuple[Fraction, ...] | None]:
     A path is tame when it can be re-segmented so that every junction value
     is a vertex; the candidate junctions are the vertex visits along the
     trajectory, and each inter-vertex piece must fit inside a single cube.
+    One walk over the samples of :func:`_samples` decides both.  An affine
+    coordinate reaches 0 or 1 only at a piece end or holds it throughout,
+    so the visits are the breakpoints at a vertex (both ends of a pause at
+    a vertex); the samples since the last visit must share a carrier.
     """
-    if not p.start_point(X).is_vertex() or not p.end_point(X).is_vertex():
-        return False, None
-    hits = _vertex_times(X, p)
+    hits: list[Fraction] = []
+    common = None
+    for i, seg in enumerate(p.segments):
+        for kind, t, coords in _samples(seg, first=not i):
+            pt = canonicalize(X, Point(seg.cube, coords))
+            carriers = X._locations_of(pt.cube).keys()
+            common = carriers if common is None else common & carriers
+            if not common:
+                return False, None
+            if kind is _BREAKPOINT and pt.is_vertex():
+                hits.append(t)
+                common = carriers
     if not hits or hits[0] != p.t0 or hits[-1] != p.t1:
         return False, None
-    for a, b in zip(hits, hits[1:]):
-        if _piece_carrier(X, p, a, b) is None:
-            return False, None
     return True, tuple(hits)
 
 
@@ -352,7 +344,7 @@ def reparametrize(p: PLPath, phi: Sequence[tuple]) -> PLPath:
     the old one; it must be onto, so its first/last ``t`` equal the path's
     domain endpoints.  Constant stretches of ``phi`` introduce pauses.
     """
-    pairs = [(_frac(u), _frac(t)) for u, t in phi]
+    pairs = [(_rational(u, "time"), _rational(t, "time")) for u, t in phi]
     if len(pairs) < 2:
         raise PrecubicalError("a reparametrization needs at least two breakpoints")
     for (u0, t0), (u1, t1) in zip(pairs, pairs[1:]):
@@ -403,7 +395,7 @@ def rational_flow(t: Fraction, x: Fraction) -> Fraction:
     and strictly increasing in t on interior points; all of these hold
     exactly in rational arithmetic.
     """
-    t, x = _frac(t), _frac(x)
+    t, x = _rational(t, "flow time"), _rational(x, "coordinate")
     return x + t * x * (1 - x)
 
 
@@ -456,10 +448,7 @@ def strictify_homotopy(X: CubeSet, p: PLPath, s, flow: str = "rational", samples
     point for point, the flow applied at every distinct sample time to the
     exactly interpolated path.
     """
-    try:
-        s = _frac(s)
-    except (TypeError, ValueError, OverflowError):
-        raise PrecubicalError(f"homotopy stage must be a rational number, got {s!r}") from None
+    s = _rational(s, "homotopy stage")
     if not 0 <= s <= 1:
         raise PrecubicalError("homotopy stage must lie in [0, 1]")
     if not isinstance(samples, int) or samples < 1:
@@ -613,9 +602,11 @@ def path_to_kinks(X: CubeSet, p: PLPath) -> KinkSequence:
 
 
 def _minimal_common_cube(X: CubeSet, a: Point, b: Point) -> str:
-    minimal = _least_carriers(X, (a.cube, b.cube))
-    if not minimal:
+    common = X._locations_of(a.cube).keys() & X._locations_of(b.cube).keys()
+    if not common:
         raise PrecubicalError(f"kink points {a} and {b} share no cube")
+    least = min(X.dim(c) for c in common)
+    minimal = sorted(c for c in common if X.dim(c) == least)
     if len(minimal) != 1:
         raise PrecubicalError(f"minimal common cube of {a} and {b} is not unique: {minimal}")
     return minimal[0]

@@ -30,6 +30,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .carrier import (
     HALF,
@@ -40,6 +41,7 @@ from .carrier import (
     _coords_in,
     _embed,
     _in_box,
+    _rational,
     canonicalize,
     in_face_collar,
     in_star,
@@ -47,13 +49,13 @@ from .carrier import (
 from .chains import CubeChain
 from .cubeset import CubeSet
 from .dpath import (
+    _MIDPOINT,
     PLPath,
     Segment,
     _interp,
-    _piece_events,
+    _samples,
     _segments_at,
     _times_between,
-    _with_midpoints,
     evaluate,
     is_strict,
 )
@@ -145,44 +147,43 @@ def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage:
     return results.pop() if results else None
 
 
-def _linear_events(seg: Segment, axes: tuple[int, ...], lo: Fraction, hi: Fraction) -> set[Fraction]:
-    """Times in [lo, hi] where the active min/max coordinate can switch."""
-    out: set[Fraction] = set()
-    for i, j in itertools.combinations(axes, 2):
-        for (ta, xa), (tb, xb) in zip(seg.points, seg.points[1:]):
-            a, b = max(ta, lo), min(tb, hi)
-            if a > b:
-                continue
-            fa, fb = xa[i - 1] - xa[j - 1], xb[i - 1] - xb[j - 1]
-            if fa == fb:
-                continue
-            t = ta - fa / (fb - fa) * (tb - ta)
-            if a <= t <= b:
-                out.add(t)
-    return out
-
-
 def _m_root_in_segment(seg: Segment, surface: MSurface, lo: Fraction) -> Fraction | None:
     """The first time in [lo, seg.t1] where the surface value reaches 1.
 
-    Along a directed segment the value never decreases.  The scan walks
-    back from the end over the times where the value can bend; the root
-    lies on the piece after the last such time with a value below 1.
+    The value min_i x_i + max_j x_j is 1 or more exactly when every min
+    axis i has a max axis j with x_i + x_j >= 1, and along a directed
+    segment no such sum decreases.  So the value first reaches 1 at the
+    latest, over i, of the earliest, over j, first passage of x_i + x_j to
+    1: with no max axes x_i alone must reach 1, with no min axes that is
+    ``lo``.  ``None`` when the value stays below 1, or is above 1 already
+    at ``lo``.
     """
-    tb, vb = seg.t1, surface.value(seg.points[-1][1])
-    if vb < ONE:
+    if surface.value(seg.points[-1][1]) < ONE:
         return None
-    times: set[Fraction] = {lo}
-    times.update(t for t, _ in seg.points if lo < t < tb)
-    times.update(_linear_events(seg, surface.min_axes + surface.max_axes, lo, tb))
-    times.discard(tb)
-    for ta in sorted(times, reverse=True):
-        va = surface.value(_interp(seg, ta))
-        if va < ONE:
-            return tb if vb == ONE else ta + (ONE - va) / (vb - va) * (tb - ta)
-        tb, vb = ta, va
-    # the value is 1 or more already at lo
-    return tb if vb == ONE else None
+    start = _interp(seg, lo)
+    if surface.value(start) > ONE:
+        return None
+    ahead = seg.points[bisect_right(seg.points, lo, key=itemgetter(0)) :]
+
+    def first_passage(i: int, j: int | None) -> Fraction | None:
+        def level(x: tuple[Fraction, ...]) -> Fraction:
+            return x[i - 1] if j is None else x[i - 1] + x[j - 1]
+
+        ta, fa = lo, level(start)
+        if fa >= ONE:
+            return lo
+        for tb, xb in ahead:
+            fb = level(xb)
+            if fb >= ONE:
+                return ta + (ONE - fa) / (fb - fa) * (tb - ta)
+            ta, fa = tb, fb
+        return None
+
+    root = lo
+    for i in surface.min_axes:
+        # the value at seg.t1 is 1 or more, so some x_i + x_j reaches 1 by then
+        root = max(root, min(t for j in surface.max_axes or (None,) if (t := first_passage(i, j)) is not None))
+    return root
 
 
 def _surfaces(X: CubeSet, carrier: str, ending: str, starting: str) -> list[MSurface]:
@@ -269,7 +270,7 @@ def tame_cube(X: CubeSet, p: PLPath, fp: FacePartition, a, b) -> Segment:
     denominator signals a degenerate (non-strict or non-subordinate)
     stage.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rational(a, "time"), _rational(b, "time")
     seg = next((s for s in _segments_at(p, a) if b <= s.t1), None)
     if seg is None:
         raise PrecubicalError(f"[{a}, {b}] is not inside a single presentation segment")
@@ -349,7 +350,7 @@ def taming_homotopy(X: CubeSet, p: PLPath, chain: CubeChain, s) -> PLPath:
     a representative).  Stage 0 is the resampled path, stage 1 the taming;
     every stage is strict and subordinate to the chain's collar.
     """
-    s = Fraction(s)
+    s = _rational(s, "homotopy stage")
     if not 0 <= s <= 1:
         raise PrecubicalError("homotopy stage must lie in [0, 1]")
     if len(chain.cubes) == 0:
@@ -382,20 +383,20 @@ def taming_homotopy(X: CubeSet, p: PLPath, chain: CubeChain, s) -> PLPath:
 def middle_crossings(X: CubeSet, p: PLPath) -> list[tuple[Fraction, str]]:
     """All crossings of the coordinate-1/2 hyperplanes as ``(time, face)`` pairs.
 
-    Segment by segment, in time order.  A strict path meets each middle
-    hyperplane of a segment cube at most once.  The face of a crossing has
-    the word ``*`` on the coordinates equal to 1/2 at that time, ``0`` on
-    those below and ``1`` on those above, so simultaneous crossings give a
-    single pair.
+    Segment by segment, every segment from its first breakpoint, in time
+    order: the samples of :func:`~precubical.dpath._samples` other than
+    midpoints that have a coordinate equal to 1/2.  A strict path meets
+    each middle hyperplane of a segment cube at most once.  The face of a
+    crossing has the word ``*`` on the coordinates equal to 1/2 at that
+    time, ``0`` on those below and ``1`` on those above, so simultaneous
+    crossings give a single pair.
     """
     out: list[tuple[Fraction, str]] = []
     for seg in p.segments:
         faces = X.iterated_faces(seg.cube)
-        times = set(_piece_events(seg))
-        times.update(t for t, coords in seg.points if HALF in coords)
-        for t in sorted(times):
-            word = "".join("*" if x == HALF else "0" if x < HALF else "1" for x in _interp(seg, t))
-            if "*" in word:
+        for kind, t, coords in _samples(seg):
+            if kind is not _MIDPOINT and HALF in coords:
+                word = "".join("*" if x == HALF else "0" if x < HALF else "1" for x in coords)
                 out.append((t, faces[word]))
     return out
 
@@ -432,8 +433,9 @@ def finest_chain(X: CubeSet, p: PLPath) -> CubeChain:
 def subordinate_to_collar(X: CubeSet, p: PLPath, chain: CubeChain) -> bool:
     """Whether the path admits cuts placing each stage in one collar.
 
-    Greedy scan over the sample times (breakpoints, 1/2-crossings, and
-    interval midpoints): stage i must stay inside the collar of the i-th
+    Greedy scan over the samples of :func:`~precubical.dpath._samples`
+    (breakpoints, 1/2-crossings, and the midpoints between them), each
+    canonicalized once: stage i must stay inside the collar of the i-th
     chain cube and each cut value must lie in the star of the junction
     vertex.  Cuts are taken as late as possible, which is optimal because
     a later cut only shrinks the remaining constraint intervals.
@@ -442,33 +444,28 @@ def subordinate_to_collar(X: CubeSet, p: PLPath, chain: CubeChain) -> bool:
         raise PrecubicalError("path and chain sources differ")
     if p.end_point(X) != Point(chain.target, ()):
         raise PrecubicalError("path and chain targets differ")
-    samples = _with_midpoints(itertools.chain(p._time_index[1], *map(_piece_events, p.segments)))
-    pts = {t: evaluate(X, p, t) for t in samples}
+    # a junction is read on the earlier segment, as in evaluate
+    pts = [
+        canonicalize(X, Point(seg.cube, coords))
+        for i, seg in enumerate(p.segments)
+        for _, _, coords in _samples(seg, first=not i)
+    ]
     n = len(chain.cubes)
     if n == 0:
-        origin = pts[samples[0]]
-        return all(pt == origin for pt in pts.values())
+        return all(pt == pts[0] for pt in pts)
     vertices = chain.vertex_sequence(X)
     lo = 0
     for i, cube in enumerate(chain.cubes):
-        in_collar_upto = lo - 1
-        for k in range(lo, len(samples)):
-            if in_face_collar(X, pts[samples[k]], cube):
-                in_collar_upto = k
-            else:
-                break
-        if in_collar_upto < lo:
+        # stage i holds the samples from lo up to the first one outside its collar
+        end = next((k for k in range(lo, len(pts)) if not in_face_collar(X, pts[k], cube)), len(pts))
+        if end == lo:
             return False
         if i == n - 1:
-            return in_collar_upto == len(samples) - 1
-        cut = None
-        for k in range(in_collar_upto, lo - 1, -1):
-            if in_star(X, pts[samples[k]], vertices[i + 1]):
-                cut = k
-                break
-        if cut is None:
+            return end == len(pts)
+        # and is cut at the last of them in the star of the next junction vertex
+        lo = next((k for k in range(end - 1, lo - 1, -1) if in_star(X, pts[k], vertices[i + 1])), None)
+        if lo is None:
             return False
-        lo = cut
     return True
 
 

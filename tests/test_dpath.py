@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from precubical import (
+    CubeChain,
+    FacePartition,
     KinkSequence,
     Point,
     PrecubicalError,
@@ -32,10 +34,13 @@ from precubical import (
     strictify_homotopy,
     subordinate_to_collar,
     tame,
+    tame_cube,
+    taming_homotopy,
     z_complex,
 )
 from precubical.carrier import canonicalize
-from precubical.dpath import PLPath, Segment, _apply_flow, _interp, _segments_at, _times_between, path
+from precubical.dpath import PLPath, Segment, _apply_flow, _interp, _samples, _segments_at, _times_between, path
+from precubical.taming import middle_crossings
 
 from helpers import euclidean_path, glued_squares
 
@@ -79,8 +84,29 @@ def test_segment_coerces_inexact_breakpoints_and_keeps_exact_ones():
         Segment("**", [(0, (0, 0)), ("0", (1, 1))])
     with pytest.raises(PrecubicalError, match="strictly increase"):
         Segment("**", ((F(1), (F(0),)), (F(1, 2), (F(1),))))
-    with pytest.raises(ValueError):
+    with pytest.raises(PrecubicalError, match="coordinate must be a rational number, got 'x'"):
         Segment("**", [(0, ("x",)), (1, (1,))])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: evaluate(SQ, DIAG, "x"),
+        lambda: evaluate(SQ, DIAG, float("nan")),
+        lambda: reparametrize(DIAG, [(0, 0), ("x", 1)]),
+        lambda: Segment("**", [("q", (0, 0)), (1, (1, 1))]),
+        lambda: Point("**", ("x", 0)),
+        lambda: Point("**", ("1/0", 0)),
+        lambda: rational_flow("x", 0),
+        lambda: tame_cube(SQ, DIAG, FacePartition.identity(2), "x", 1),
+        lambda: taming_homotopy(SQ, DIAG, CubeChain("v00", "v11", ("**",)), None),
+    ],
+    ids=["evaluate", "evaluate-nan", "reparametrize", "segment", "point", "point-zero-denominator",
+         "rational-flow", "tame-cube", "taming-homotopy"],
+)
+def test_non_rational_input_raises_a_library_error_naming_it(call):
+    with pytest.raises(PrecubicalError, match=r"must be a rational number, got ('x'|'q'|nan|'1/0'|None)"):
+        call()
 
 
 def test_junction_mismatch_rejected():
@@ -136,6 +162,53 @@ def test_tame_witness_times_are_vertex_visits():
     )
     ok, witness = is_tame(E, p)
     assert ok and witness == (0, F(1, 2), 1)
+
+
+def test_segment_samples_are_breakpoints_half_crossings_and_midpoints():
+    seg = Segment("**", [(0, (0, 0)), (F(1, 2), (F(3, 4), F(1, 4))), (1, (1, 1))])
+    kinds = [(kind, t) for kind, t, _ in _samples(seg)]
+    assert kinds == [
+        ("breakpoint", 0), ("midpoint", F(1, 6)), ("crossing", F(1, 3)), ("midpoint", F(5, 12)),
+        ("breakpoint", F(1, 2)), ("midpoint", F(7, 12)), ("crossing", F(2, 3)), ("midpoint", F(5, 6)),
+        ("breakpoint", 1),
+    ]
+    assert all(coords == _interp(seg, t) for _, t, coords in _samples(seg))
+    assert [t for _, t, _ in _samples(seg, first=False)] == [t for _, t in kinds[1:]]
+
+
+def test_a_pause_at_a_vertex_is_witnessed_at_both_ends():
+    E = two_stacked_squares()
+    p = path(
+        [
+            ("0,0|1,1", [(0, (0, 0)), (F(1, 2), (1, 1))]),
+            ("0,1|1,2", [(F(1, 2), (1, 0)), (1, (1, 1))]),
+        ]
+    )
+    paused = reparametrize(p, [(0, 0), (F(1, 3), F(1, 2)), (F(2, 3), F(1, 2)), (1, 1)])
+    assert evaluate(E, paused, F(1, 2)) == Point("1,1|1,1", ())
+    assert is_tame(E, paused) == (True, (0, F(1, 3), F(2, 3), 1))
+
+
+def test_is_tame_reads_a_junction_on_the_earlier_segment():
+    E = two_stacked_squares()
+    # the earlier segment ends at the vertex (1, 1), the later one starts mid-edge
+    p = path(
+        [
+            ("0,0|1,1", [(0, (0, 0)), (F(1, 2), (1, 1))]),
+            ("0,1|1,2", [(F(1, 2), (F(1, 3), 0)), (1, (1, 1))]),
+        ]
+    )
+    with pytest.raises(PrecubicalError, match="junction 1"):
+        p.validate(E)
+    assert evaluate(E, p, F(1, 2)) == Point("1,1|1,1", ())
+    assert is_tame(E, p) == (True, (0, F(1, 2), 1))
+
+
+def test_middle_crossings_of_a_coordinate_held_at_half_are_its_breakpoints():
+    # x is held at 1/2 over [1/4, 3/4], where y stays below 1/2
+    held = path([("**", [(0, (0, 0)), (F(1, 4), (F(1, 2), F(1, 5))), (F(3, 4), (F(1, 2), F(2, 5))), (1, (1, F(2, 5)))])])
+    assert not is_strict(SQ, held)
+    assert middle_crossings(SQ, held) == [(F(1, 4), "*0"), (F(3, 4), "*0")]
 
 
 def test_concatenate_and_constant_tail():
