@@ -180,9 +180,24 @@ def in_face_collar(X: CubeSet, p: Point, d: str) -> bool:
     The collar is the union of the collar boxes of every location of every
     iterated face of ``d`` (including ``d`` itself).
     """
-    reps = representatives(X, p)
-    collar = X._collar(d)
-    return any(_in_box(coords, word) for cube, coords in reps for word, _ in collar.get(cube, ()))
+    return _in_collar_boxes(X, canonicalize(X, p), X._collar(d))
+
+
+def _in_collar_boxes(X: CubeSet, p: Point, collar: dict[str, list[tuple[str, str]]]) -> bool:
+    """Whether the canonical point ``p`` lies in one of the boxes of ``collar``.
+
+    ``collar`` is a cube's collar table from ``X._collar``; ``p`` is tested
+    through each of its representatives in a carrier the table names, so a
+    scan that already holds canonical points tests them without
+    canonicalizing them again.
+    """
+    return any(
+        _in_box(_embed(word, p.coords), box)
+        for cube, words in X._locations_of(p.cube).items()
+        if cube in collar
+        for word in words
+        for box, _ in collar[cube]
+    )
 
 
 def in_star(X: CubeSet, p: Point, v: str) -> bool:
@@ -196,7 +211,8 @@ def in_star(X: CubeSet, p: Point, v: str) -> bool:
     return in_face_collar(X, p, v)
 
 
-def _common_rep_pairs(X: CubeSet, p: Point, q: Point):
+def _common_rep_pairs(X: CubeSet, p: Point, q: Point) -> list[tuple[str, tuple[Fraction, ...], tuple[Fraction, ...]]]:
+    """Every ``(cube, p coords, q coords)`` of the two points in a shared carrier, or raise."""
     p = canonicalize(X, p)
     q = canonicalize(X, q)
     p_locations = X._locations_of(p.cube)
@@ -217,18 +233,22 @@ def l1_distance_in_cube(X: CubeSet, p: Point, q: Point) -> Fraction:
     When several carriers exist the minimum over representative pairs is
     returned; on proper non-self-linked complexes all pairs agree.
     """
-    return min(
-        sum((abs(a - b) for a, b in zip(cp, cq)), Fraction(0))
-        for _, cp, cq in _common_rep_pairs(X, p, q)
-    )
+    return _pairs_distance(_common_rep_pairs(X, p, q))
 
 
 def leq_in_cube(X: CubeSet, p: Point, q: Point) -> bool:
     """Componentwise order of two points inside some shared carrier cube."""
-    return any(
-        all(a <= b for a, b in zip(cp, cq))
-        for _, cp, cq in _common_rep_pairs(X, p, q)
-    )
+    return _pairs_ordered(_common_rep_pairs(X, p, q))
+
+
+def _pairs_distance(pairs) -> Fraction:
+    """The least Manhattan distance over representative pairs of :func:`_common_rep_pairs`."""
+    return min(sum((abs(a - b) for a, b in zip(cp, cq)), Fraction(0)) for _, cp, cq in pairs)
+
+
+def _pairs_ordered(pairs) -> bool:
+    """Whether some representative pair of :func:`_common_rep_pairs` is componentwise ordered."""
+    return any(all(a <= b for a, b in zip(cp, cq)) for _, cp, cq in pairs)
 
 
 def hyperplane_level(X: CubeSet, p: Point) -> int | None:

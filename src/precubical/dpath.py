@@ -14,6 +14,9 @@ segments holding a time, the breakpoints inside an interval) bisects it
 instead of scanning all segments.  Whole-path scans (tameness, collar
 subordination, middle crossings) need no lookup: they walk the segments
 in order, and each segment lists its own samples (see :func:`_samples`).
+A piece holds its time and coordinates as integer numerators over one
+denominator each, so every sampled value, like every integral-length
+point of :func:`path_to_kinks`, is built by a single exact ``Fraction``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,15 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .carrier import HALF, ONE, ZERO, Point, _coords_in, _rational, canonicalize, l1_distance_in_cube, leq_in_cube
+from .carrier import (
+    Point,
+    _common_rep_pairs,
+    _coords_in,
+    _pairs_distance,
+    _pairs_ordered,
+    _rational,
+    canonicalize,
+)
 from .cubeset import CubeSet
 from .errors import PrecubicalError
 
@@ -262,7 +273,29 @@ def is_strict(X: CubeSet, p: PLPath) -> bool:
 _BREAKPOINT, _CROSSING, _MIDPOINT = "breakpoint", "crossing", "midpoint"
 
 
-def _samples(seg: Segment, first: bool = True) -> Iterator[tuple[str, Fraction, tuple[Fraction, ...]]]:
+def _line(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """``(lo, rise, d)`` with ``a = lo/d`` and ``b = (lo + rise)/d``: the value at ``lam`` is ``(lo + lam*rise)/d``."""
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    return an * bd, bn * ad - an * bd, ad * bd
+
+
+def _lines(xa: tuple[Fraction, ...], xb: tuple[Fraction, ...]) -> list[tuple[Fraction, int, int, int]]:
+    """Per coordinate of a piece from ``xa`` to ``xb``, its start value and its :func:`_line`."""
+    return [(a, *_line(a, b)) for a, b in zip(xa, xb)]
+
+
+def _point_at(lines: list[tuple[Fraction, int, int, int]], p: int, q: int) -> tuple[Fraction, ...]:
+    """The coordinates the fraction ``p/q`` (with ``q > 0``) along a piece given by :func:`_lines`.
+
+    Each is the single ``Fraction(lo*q + p*rise, d*q)``; a coordinate that
+    does not move keeps its start value.
+    """
+    return tuple([Fraction(lo * q + p * rise, d * q) if rise else a for a, lo, rise, d in lines])
+
+
+def _samples(
+    seg: Segment, first: bool = True, *, midpoints: bool = True
+) -> Iterator[tuple[str, Fraction, tuple[Fraction, ...]]]:
     """The samples of one segment as ``(kind, time, coordinates)``, in time order.
 
     The samples are every breakpoint (``_BREAKPOINT``), every time strictly
@@ -274,22 +307,30 @@ def _samples(seg: Segment, first: bool = True) -> Iterator[tuple[str, Fraction, 
     0 or 1 or stays off them, so the minimal carrier and the collar boxes
     holding the point are those of the midpoint: a predicate that only
     reads these is decided on the samples.  With ``first=False`` the first
-    breakpoint is left out, as a junction is read on the earlier segment.
+    breakpoint is left out, as a junction is read on the earlier segment;
+    with ``midpoints=False`` the midpoints are neither built nor yielded.
+
+    Each piece holds its time and every coordinate as integers
+    ``(lo, rise, d)`` (see :func:`_line`).  A coordinate rises through 1/2
+    at ``lam = (d - 2*lo) / (2*rise)``, and at ``lam = p/q`` each value
+    is the single ``Fraction(lo*q + p*rise, d*q)`` (see :func:`_point_at`).
     """
     pts = seg.points
     if first:
         t, x = pts[0]
         yield _BREAKPOINT, t, x
     for (ta, xa), (tb, xb) in zip(pts, pts[1:]):
-        dt, rises = tb - ta, [b - a for a, b in zip(xa, xb)]
-        crossings = sorted({(HALF - a) / (b - a) for a, b in zip(xa, xb) if a < HALF < b})
-        last = ZERO
-        for lam in (*crossings, ONE):
-            mid = (last + lam) / 2
-            yield _MIDPOINT, ta + mid * dt, tuple([a + mid * r for a, r in zip(xa, rises)])
-            if lam < ONE:
-                yield _CROSSING, ta + lam * dt, tuple([a + lam * r for a, r in zip(xa, rises)])
-            last = lam
+        lines = _lines(xa, xb)
+        tlo, trise, td = _line(ta, tb)
+        crossings = sorted({Fraction(d - 2 * lo, 2 * rise) for _, lo, rise, d in lines if 2 * lo < d < 2 * (lo + rise)})
+        # the fractions along the piece as (p, q): 0, then each crossing, then 1
+        stops = [(0, 1), *((lam.numerator, lam.denominator) for lam in crossings), (1, 1)]
+        for (pa, qa), (p, q) in zip(stops, stops[1:]):
+            if midpoints:
+                pm, qm = pa * q + p * qa, 2 * qa * q
+                yield _MIDPOINT, Fraction(tlo * qm + pm * trise, td * qm), _point_at(lines, pm, qm)
+            if p != q:
+                yield _CROSSING, Fraction(tlo * q + p * trise, td * q), _point_at(lines, p, q)
         yield _BREAKPOINT, tb, xb
 
 
@@ -567,15 +608,16 @@ class KinkSequence:
 
     def validate(self, X: CubeSet) -> None:
         for i, (a, b) in enumerate(zip(self.points, self.points[1:])):
-            if not leq_in_cube(X, a, b):
+            pairs = _common_rep_pairs(X, a, b)
+            if not _pairs_ordered(pairs):
                 raise PrecubicalError(f"kink step {i}: points are not ordered in a common cube")
-            d = l1_distance_in_cube(X, a, b)
+            d = _pairs_distance(pairs)
             if d != 1:
                 raise PrecubicalError(f"kink step {i}: distance {d} != 1")
 
 
-def _check_natural(X: CubeSet, p: PLPath) -> Fraction:
-    """Return the integral length of a constant-speed path, or raise."""
+def _check_natural(X: CubeSet, p: PLPath) -> list[list[Fraction]]:
+    """The cumulative lengths of a constant-speed path of integral length, or raise."""
     cums = _cumulative_length(p)
     total = cums[-1][-1]
     if total.denominator != 1 or total == 0:
@@ -585,17 +627,36 @@ def _check_natural(X: CubeSet, p: PLPath) -> Fraction:
         for (t, _), c in zip(seg.points, cum):
             if c * span != (t - p.t0) * total:
                 raise PrecubicalError("path is not natural (speed is not constant)")
-    return total
+    return cums
 
 
 def path_to_kinks(X: CubeSet, p: PLPath) -> KinkSequence:
-    """Sample a natural tame path at the integral times of its arc length."""
-    total = _check_natural(X, p)
+    """Sample a natural tame path at the integral times of its arc length.
+
+    At constant speed the time and the length of a point are affine in
+    each other, so the point at length ``k`` is the one :func:`evaluate`
+    returns at the ``k``-th integral time.  One walk over the pieces finds
+    each: a breakpoint when ``k`` is its cumulative length (a junction is
+    read on the earlier segment), otherwise the point the fraction
+    ``(k - ca) / (cb - ca)`` along the piece from length ``ca`` to ``cb``.
+    """
+    cums = _check_natural(X, p)
     tame, _ = is_tame(X, p)
     if not tame:
         raise PrecubicalError("path_to_kinks expects a tame path")
-    span = p.t1 - p.t0
-    pts = [evaluate(X, p, p.t0 + Fraction(k, int(total)) * span) for k in range(int(total) + 1)]
+    pts = [p.start_point(X)]
+    k = 1
+    for seg, cum in zip(p.segments, cums):
+        for ((_, xa), (_, xb)), ca, cb in zip(zip(seg.points, seg.points[1:]), cum, cum[1:]):
+            lines = _lines(xa, xb)
+            # k - ca = (k*d - lo)/d and cb - ca = rise/d
+            lo, rise, d = _line(ca, cb)
+            while k < cb:
+                pts.append(canonicalize(X, Point(seg.cube, _point_at(lines, k * d - lo, rise))))
+                k += 1
+            if k == cb:
+                pts.append(canonicalize(X, Point(seg.cube, xb)))
+                k += 1
     ks = KinkSequence(tuple(pts))
     ks.validate(X)
     return ks

@@ -41,15 +41,14 @@ from .carrier import (
     _coords_in,
     _embed,
     _in_box,
+    _in_collar_boxes,
     _rational,
     canonicalize,
-    in_face_collar,
     in_star,
 )
 from .chains import CubeChain
 from .cubeset import CubeSet
 from .dpath import (
-    _MIDPOINT,
     PLPath,
     Segment,
     _interp,
@@ -123,8 +122,12 @@ def _largest(boxes: list[tuple[str, str]]) -> list[tuple[str, str]]:
 def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage: str) -> tuple[Fraction, ...] | None:
     """Face coordinates along ``stage`` of a point given in ``carrier``.
 
-    When the carrier hosts the stage cube as a face, these are simply the
-    coordinates on the free axes.  A point sitting on the stage cube's own
+    When the carrier hosts the stage cube as a face once, these are simply
+    the coordinates on the free axes.  When it hosts the stage more than
+    once (a self-linked carrier), a point on the stage reads its own
+    coordinates in the stage, and any other point the free axes of the
+    locations whose collar box holds it; candidates that disagree raise
+    :class:`SubordinationError`.  A point sitting on the stage cube's own
     boundary keeps its canonical coordinates, embedded through the face's
     axis pattern.  Any other point must lie in the collar box of some face
     of the stage inside the carrier; of the boxes holding it the largest
@@ -132,14 +135,18 @@ def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage:
     axes of that face contribute 0 or 1, the rest come from the box's free
     axes.
     """
-    direct = X._locations_of(stage).get(carrier)
-    if direct:
+    direct = X._locations_of(stage).get(carrier, ())
+    if len(direct) == 1:
         return _free(direct[0], coords)
-    # the carrier does not host the stage, so a canonical cube that is a face
-    # of the stage is a proper one
-    on_boundary = _coords_in(X, canonicalize(X, Point(carrier, coords)), stage)
-    if on_boundary:
-        return on_boundary[0]
+    # a canonical cube that is the stage or one of its faces puts the point on the stage
+    on_stage = _coords_in(X, canonicalize(X, Point(carrier, coords)), stage)
+    if direct:
+        candidates = set(on_stage) if on_stage else {_free(g, coords) for g in direct if _in_box(coords, g)}
+        if len(candidates) > 1:
+            raise SubordinationError(f"ambiguous coordinates of {stage!r} in self-linked {carrier!r}")
+        return candidates.pop() if candidates else None
+    if on_stage:
+        return on_stage[0]
     boxes = [(g, h) for g, h in X._collar(stage).get(carrier, ()) if _in_box(coords, g)]
     results = {_embed(h, _free(g, coords)) for g, h in _largest(boxes)}
     if len(results) > 1:
@@ -202,11 +209,25 @@ def _surfaces(X: CubeSet, carrier: str, ending: str, starting: str) -> list[MSur
     return [MSurface(carrier, a, b) for a, b in itertools.product(axes(ending, "0"), axes(starting, "1"))]
 
 
-def _crossing(X: CubeSet, p: PLPath, cur: Fraction, ending: str, starting: str, vertex: str) -> tuple[Fraction, MSurface]:
-    """The first time from ``cur`` on, in the star of ``vertex``, where the path reaches m = 1."""
+def _crossing(
+    X: CubeSet,
+    p: PLPath,
+    cur: Fraction,
+    ending: str,
+    starting: str,
+    vertex: str,
+    surfaces: dict[tuple[str, str, str], list[MSurface]],
+) -> tuple[Fraction, MSurface]:
+    """The first time from ``cur`` on, in the star of ``vertex``, where the path reaches m = 1.
+
+    ``surfaces`` memoizes :func:`_surfaces` by ``(carrier, ending, starting)``.
+    """
     # a segment ending at cur holds no cut after it
     for seg in p.segments[bisect_right(p._time_index[0], cur) :]:
-        for surf in _surfaces(X, seg.cube, ending, starting):
+        key = (seg.cube, ending, starting)
+        if key not in surfaces:
+            surfaces[key] = _surfaces(X, *key)
+        for surf in surfaces[key]:
             root = _m_root_in_segment(seg, surf, max(cur, seg.t0))
             if root is not None and in_star(X, Point(seg.cube, _interp(seg, root)), vertex):
                 return root, surf
@@ -217,8 +238,9 @@ def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> tuple[tuple, tupl
     """Cut the path domain into one window per chain cube; returns the cuts, their surfaces and the windows."""
     bounds = [p.t0]
     surfaces: list[MSurface] = []
+    memo: dict[tuple[str, str, str], list[MSurface]] = {}
     for ending, starting, vertex in zip(chain.cubes, chain.cubes[1:], chain.vertex_sequence(X)[1:]):
-        cut, surf = _crossing(X, p, bounds[-1], ending, starting, vertex)
+        cut, surf = _crossing(X, p, bounds[-1], ending, starting, vertex, memo)
         if cut <= bounds[-1]:
             raise SubordinationError("crossing times are not strictly ascending")
         bounds.append(cut)
@@ -384,8 +406,8 @@ def middle_crossings(X: CubeSet, p: PLPath) -> list[tuple[Fraction, str]]:
     """All crossings of the coordinate-1/2 hyperplanes as ``(time, face)`` pairs.
 
     Segment by segment, every segment from its first breakpoint, in time
-    order: the samples of :func:`~precubical.dpath._samples` other than
-    midpoints that have a coordinate equal to 1/2.  A strict path meets
+    order: the samples of :func:`~precubical.dpath._samples`, built without
+    midpoints, that have a coordinate equal to 1/2.  A strict path meets
     each middle hyperplane of a segment cube at most once.  The face of a
     crossing has the word ``*`` on the coordinates equal to 1/2 at that
     time, ``0`` on those below and ``1`` on those above, so simultaneous
@@ -394,8 +416,8 @@ def middle_crossings(X: CubeSet, p: PLPath) -> list[tuple[Fraction, str]]:
     out: list[tuple[Fraction, str]] = []
     for seg in p.segments:
         faces = X.iterated_faces(seg.cube)
-        for kind, t, coords in _samples(seg):
-            if kind is not _MIDPOINT and HALF in coords:
+        for _, t, coords in _samples(seg, midpoints=False):
+            if HALF in coords:
                 word = "".join("*" if x == HALF else "0" if x < HALF else "1" for x in coords)
                 out.append((t, faces[word]))
     return out
@@ -435,10 +457,11 @@ def subordinate_to_collar(X: CubeSet, p: PLPath, chain: CubeChain) -> bool:
 
     Greedy scan over the samples of :func:`~precubical.dpath._samples`
     (breakpoints, 1/2-crossings, and the midpoints between them), each
-    canonicalized once: stage i must stay inside the collar of the i-th
-    chain cube and each cut value must lie in the star of the junction
-    vertex.  Cuts are taken as late as possible, which is optimal because
-    a later cut only shrinks the remaining constraint intervals.
+    canonicalized once and tested in that form against the collar boxes:
+    stage i must stay inside the collar of the i-th chain cube and each
+    cut value must lie in the star of the junction vertex.  Cuts are taken
+    as late as possible, which is optimal because a later cut only shrinks
+    the remaining constraint intervals.
     """
     if p.start_point(X) != Point(chain.source, ()):
         raise PrecubicalError("path and chain sources differ")
@@ -457,13 +480,15 @@ def subordinate_to_collar(X: CubeSet, p: PLPath, chain: CubeChain) -> bool:
     lo = 0
     for i, cube in enumerate(chain.cubes):
         # stage i holds the samples from lo up to the first one outside its collar
-        end = next((k for k in range(lo, len(pts)) if not in_face_collar(X, pts[k], cube)), len(pts))
+        collar = X._collar(cube)
+        end = next((k for k in range(lo, len(pts)) if not _in_collar_boxes(X, pts[k], collar)), len(pts))
         if end == lo:
             return False
         if i == n - 1:
             return end == len(pts)
         # and is cut at the last of them in the star of the next junction vertex
-        lo = next((k for k in range(end - 1, lo - 1, -1) if in_star(X, pts[k], vertices[i + 1])), None)
+        star = X._collar(vertices[i + 1])
+        lo = next((k for k in range(end - 1, lo - 1, -1) if _in_collar_boxes(X, pts[k], star)), None)
         if lo is None:
             return False
     return True

@@ -5,6 +5,10 @@ segment's samples, and ``taming._m_root_in_segment`` takes the first
 passage of pairwise sums.  The references below are the earlier designs,
 kept here as they were: evaluation at merged global sample times,
 level events per segment, and a walk back over pairwise switch times.
+The sampler itself, built on integer numerators, is checked against the
+``Fraction`` sampler it replaced; the collar test on canonical points
+against the representatives it once enumerated; and the one-walk
+``path_to_kinks`` against evaluation at every integral time.
 """
 
 from __future__ import annotations
@@ -18,22 +22,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from precubical import (
+    KinkSequence,
     Point,
     PrecubicalError,
     boundary_cube,
+    canonicalize,
     enumerate_chains,
     euclidean,
     evaluate,
+    finest_chain,
     full_cube,
     in_face_collar,
     in_star,
     is_tame,
+    naturalize,
+    path_to_kinks,
     q_complex,
     reparametrize,
     subordinate_to_collar,
+    tame,
+    z_complex,
 )
-from precubical.carrier import HALF, ONE
-from precubical.dpath import Segment, _interp, _times_between
+from precubical.carrier import HALF, ONE, ZERO, _in_box, _in_collar_boxes, representatives
+from precubical.dpath import _BREAKPOINT, _CROSSING, _MIDPOINT, PLPath, Segment, _interp, _samples, _times_between
 from precubical.taming import MSurface, _m_root_in_segment, middle_crossings
 
 from helpers import euclidean_path, random_strict_tame_path, random_two_facet_path
@@ -265,3 +276,149 @@ def _segments_and_surfaces(draw):
 def test_first_passage_root_matches_the_reference(case):
     seg, surface, lo = case
     assert _m_root_in_segment(seg, surface, lo) == ref_m_root_in_segment(seg, surface, lo)
+
+
+# -- the integer sampler ------------------------------------------------------------
+
+
+def ref_samples(seg, first=True):
+    """The sampler as it was built on ``Fraction`` arithmetic."""
+    pts = seg.points
+    if first:
+        t, x = pts[0]
+        yield _BREAKPOINT, t, x
+    for (ta, xa), (tb, xb) in zip(pts, pts[1:]):
+        dt, rises = tb - ta, [b - a for a, b in zip(xa, xb)]
+        crossings = sorted({(HALF - a) / (b - a) for a, b in zip(xa, xb) if a < HALF < b})
+        last = ZERO
+        for lam in (*crossings, ONE):
+            mid = (last + lam) / 2
+            yield _MIDPOINT, ta + mid * dt, tuple([a + mid * r for a, r in zip(xa, rises)])
+            if lam < ONE:
+                yield _CROSSING, ta + lam * dt, tuple([a + lam * r for a, r in zip(xa, rises)])
+            last = lam
+        yield _BREAKPOINT, tb, xb
+
+
+_LEVELS = st.sampled_from([F(0), HALF, F(1)])
+
+
+@st.composite
+def _directed_segments(draw):
+    """A directed segment of a full cube whose coordinates often sit at 0, 1/2
+    or 1, with pauses (a breakpoint repeated at a later time) and axes copied
+    from others, so that crossings coincide."""
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(2, 6))
+    times = sorted(draw(st.sets(st.fractions(-2, 3, max_denominator=30), min_size=count, max_size=count)))
+    coordinate = st.one_of(_LEVELS, st.fractions(0, 1, max_denominator=36))
+    columns = []
+    for _ in range(n):
+        if columns and draw(st.booleans()):
+            columns.append(list(columns[draw(st.integers(0, len(columns) - 1))]))
+        else:
+            columns.append(sorted(draw(st.lists(coordinate, min_size=count, max_size=count))))
+    points = list(zip(*columns))
+    for k in draw(st.lists(st.integers(1, count - 1), max_size=2)):
+        points[k] = points[k - 1]  # a pause: the point holds while time runs on
+    return Segment("*" * n, tuple(zip(times, points)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_directed_segments(), st.booleans())
+def test_integer_sampler_matches_the_fraction_sampler(seg, first):
+    want = list(ref_samples(seg, first))
+    got = list(_samples(seg, first))
+    assert got == want
+    assert all(type(t) is F and all(type(x) is F for x in coords) for _, t, coords in got)
+    assert list(_samples(seg, first, midpoints=False)) == [s for s in want if s[0] is not _MIDPOINT]
+
+
+def test_integer_sampler_on_a_simultaneous_crossing_and_a_pause():
+    seg = Segment("**", ((F(0), (F(0), F(1, 4))), (F(1), (F(1), F(3, 4))), (F(2), (F(1), F(3, 4)))))
+    assert list(_samples(seg)) == list(ref_samples(seg)) == [
+        (_BREAKPOINT, F(0), (F(0), F(1, 4))),
+        (_MIDPOINT, F(1, 4), (F(1, 4), F(3, 8))),
+        (_CROSSING, F(1, 2), (HALF, HALF)),
+        (_MIDPOINT, F(3, 4), (F(3, 4), F(5, 8))),
+        (_BREAKPOINT, F(1), (F(1), F(3, 4))),
+        (_MIDPOINT, F(3, 2), (F(1), F(3, 4))),
+        (_BREAKPOINT, F(2), (F(1), F(3, 4))),
+    ]
+
+
+# -- collar membership on canonical points ------------------------------------------
+
+
+def ref_in_face_collar(X, p, d):
+    collar = X._collar(d)
+    return any(_in_box(coords, word) for cube, coords in representatives(X, p) for word, _ in collar.get(cube, ()))
+
+
+COLLAR_SPACES = [full_cube(3), boundary_cube(3), q_complex(2), q_complex(3), z_complex(2), GRIDS[3][0]]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(COLLAR_SPACES), st.data())
+def test_collar_helper_matches_in_face_collar_on_canonical_points(X, data):
+    cube = data.draw(st.sampled_from(sorted(X.cubes())))
+    levels = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(1, 3), F(2, 3)]
+    p = canonicalize(X, Point(cube, tuple(data.draw(st.sampled_from(levels)) for _ in range(X.dim(cube)))))
+    for d in sorted(X.cubes()):
+        want = ref_in_face_collar(X, p, d)
+        assert _in_collar_boxes(X, p, X._collar(d)) == in_face_collar(X, p, d) == want
+        if X.dim(d) == 0:
+            assert in_star(X, p, d) == want
+
+
+# -- kinks in one walk --------------------------------------------------------------
+
+
+def ref_path_to_kinks(X, p):
+    total = int(sum(sum(b - a for a, b in zip(xa, xb)) for seg in p.segments for (_, xa), (_, xb) in zip(seg.points, seg.points[1:])))
+    span = p.t1 - p.t0
+    ks = KinkSequence(tuple(evaluate(X, p, p.t0 + F(k, total) * span) for k in range(total + 1)))
+    ks.validate(X)
+    return ks
+
+
+def _split(p: PLPath, rng: random.Random) -> PLPath:
+    """``p`` with each segment cut at a random one of its inner breakpoints, if it has one."""
+    segments = []
+    for seg in p.segments:
+        if len(seg.points) > 2 and rng.random() < 0.5:
+            k = rng.randint(1, len(seg.points) - 2)
+            segments += [Segment(seg.cube, seg.points[: k + 1]), Segment(seg.cube, seg.points[k:])]
+        else:
+            segments.append(seg)
+    return PLPath(tuple(segments))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(TAME_SPACES + [(X, chains) for X, _, chains in GRIDS] + [(B3, B3_CHAINS)]), st.integers(0, 2**32 - 1))
+def test_one_walk_kinks_match_evaluation_at_integral_times(space, seed):
+    X, chains = space
+    rng = random.Random(seed)
+    chain = rng.choice(chains)
+    q = random_strict_tame_path(X, chain, rng, inner=3)
+    # taming is defined on proper non-self-linked complexes
+    for p in (q, tame(X, q, finest_chain(X, q))) if X.proper_non_self_linked() else (q,):
+        natural = _split(naturalize(X, p), rng)
+        assert path_to_kinks(X, natural) == ref_path_to_kinks(X, natural)
+
+
+def test_kinks_at_a_junction_on_an_integral_length_off_the_vertices():
+    # two segments of one square meeting at (1/2, 1/2), at length 1, and
+    # the second presented on the edge x = 1 from length 3/2 on
+    C2 = full_cube(2)
+    p = PLPath(
+        (
+            Segment("**", ((F(0), (F(0), F(0))), (F(1, 2), (F(1, 2), F(1, 2))))),
+            Segment("**", ((F(1, 2), (F(1, 2), F(1, 2))), (F(3, 4), (F(1), F(1, 2))))),
+            Segment("1*", ((F(3, 4), (F(1, 2),)), (F(1), (F(1),)))),
+        )
+    )
+    p.validate(C2)
+    ks = path_to_kinks(C2, p)
+    assert ks == ref_path_to_kinks(C2, p)
+    assert ks.points == (Point("v00", ()), Point("**", (HALF, HALF)), Point("v11", ()))

@@ -196,6 +196,34 @@ def test_tame_reads_a_stage_end_from_the_later_segment_on_a_self_linked_square(s
     assert tame(Q2, p, chain) == path([("q1_0", [(0, (0,)), (F(1, 2), (1,))]), ("q1_1", [(F(1, 2), (0,)), (1, (1,))])])
 
 
+@pytest.mark.parametrize(
+    "edge",
+    [[(0, (0, 0)), (F(1, 4), (0, F(1, 2))), (F(1, 2), (0, 1))], [(0, (0, 0)), (F(1, 4), (F(1, 2), 0)), (F(1, 2), (1, 0))]],
+    ids=["left-edge", "bottom-edge"],
+)
+def test_tame_reads_a_stage_along_either_of_its_locations_in_a_self_linked_square(edge):
+    # q2_0 hosts q1_0 twice, as "*0" (bottom edge) and "0*" (left edge), and
+    # q1_1 twice; a point on a stage reads its own coordinates there, not
+    # those of the first location
+    p = path([("q2_0", edge), ("q1_1", [(F(1, 2), (0,)), (1, (1,))])])
+    chain = CubeChain("q0_0", "q0_2", ("q1_0", "q1_1"))
+    p.validate(Q2)
+    assert is_strict(Q2, p) and subordinate_to_collar(Q2, p, chain)
+    assert crossing_times(Q2, p, chain).cuts == (F(1, 2),)
+    assert tame(Q2, p, chain) == path(
+        [("q1_0", [(0, (0,)), (F(1, 4), (F(1, 2),)), (F(1, 2), (1,))]), ("q1_1", [(F(1, 2), (0,)), (1, (1,))])]
+    )
+
+
+def test_tame_refuses_a_point_read_differently_through_two_locations_of_its_stage():
+    # inside q2_0 both collar boxes of q1_0 hold (1/5, 2/5), which reads 1/5
+    # through "*0" and 2/5 through "0*"
+    p = path([("q2_0", [(0, (0, 0)), (F(1, 4), (F(1, 5), F(2, 5))), (F(1, 2), (1, 1))])])
+    chain = CubeChain("q0_0", "q0_2", ("q1_0", "q1_1"))
+    with pytest.raises(SubordinationError, match="ambiguous"):
+        tame(Q2, p, chain)
+
+
 def test_taming_homotopy_midpoint_and_endpoints():
     h = taming_homotopy(SQ, BENT, BR, F(1, 2))
     assert evaluate(SQ, h, F(6, 11)) == Point("**", (F(10, 11), F(1, 11)))
