@@ -123,30 +123,24 @@ def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage:
     """Face coordinates along ``stage`` of a point given in ``carrier``.
 
     When the carrier hosts the stage cube as a face once, these are simply
-    the coordinates on the free axes.  When it hosts the stage more than
-    once (a self-linked carrier), a point on the stage reads its own
-    coordinates in the stage, and any other point the free axes of the
-    locations whose collar box holds it; candidates that disagree raise
-    :class:`SubordinationError`.  A point sitting on the stage cube's own
-    boundary keeps its canonical coordinates, embedded through the face's
-    axis pattern.  Any other point must lie in the collar box of some face
-    of the stage inside the carrier; of the boxes holding it the largest
-    face decides, and the coordinates are its collar retraction: frozen
-    axes of that face contribute 0 or 1, the rest come from the box's free
-    axes.
+    the coordinates on the free axes.  A point sitting on the stage cube
+    keeps its canonical coordinates, embedded through the face's axis
+    pattern.  Any other point must lie in the collar box of some face of
+    the stage inside the carrier; of the boxes holding it the largest face
+    decides, and the coordinates are its collar retraction: frozen axes of
+    that face contribute 0 or 1, the rest come from the box's free axes.
+    A carrier that hosts the stage more than once (a self-linked carrier)
+    takes the same route; its boxes around the stage itself are the
+    largest, so a point read differently by two of them is ambiguous.
     """
     direct = X._locations_of(stage).get(carrier, ())
     if len(direct) == 1:
         return _free(direct[0], coords)
-    # a canonical cube that is the stage or one of its faces puts the point on the stage
-    on_stage = _coords_in(X, canonicalize(X, Point(carrier, coords)), stage)
-    if direct:
-        candidates = set(on_stage) if on_stage else {_free(g, coords) for g in direct if _in_box(coords, g)}
-        if len(candidates) > 1:
-            raise SubordinationError(f"ambiguous coordinates of {stage!r} in self-linked {carrier!r}")
-        return candidates.pop() if candidates else None
-    if on_stage:
-        return on_stage[0]
+    # the carrier hosts the stage never or more than once, so a canonical
+    # cube that is the stage or a face of it places the point on the stage
+    on_boundary = _coords_in(X, canonicalize(X, Point(carrier, coords)), stage)
+    if on_boundary:
+        return on_boundary[0]
     boxes = [(g, h) for g, h in X._collar(stage).get(carrier, ()) if _in_box(coords, g)]
     results = {_embed(h, _free(g, coords)) for g, h in _largest(boxes)}
     if len(results) > 1:
@@ -209,25 +203,11 @@ def _surfaces(X: CubeSet, carrier: str, ending: str, starting: str) -> list[MSur
     return [MSurface(carrier, a, b) for a, b in itertools.product(axes(ending, "0"), axes(starting, "1"))]
 
 
-def _crossing(
-    X: CubeSet,
-    p: PLPath,
-    cur: Fraction,
-    ending: str,
-    starting: str,
-    vertex: str,
-    surfaces: dict[tuple[str, str, str], list[MSurface]],
-) -> tuple[Fraction, MSurface]:
-    """The first time from ``cur`` on, in the star of ``vertex``, where the path reaches m = 1.
-
-    ``surfaces`` memoizes :func:`_surfaces` by ``(carrier, ending, starting)``.
-    """
+def _crossing(X: CubeSet, p: PLPath, cur: Fraction, ending: str, starting: str, vertex: str) -> tuple[Fraction, MSurface]:
+    """The first time from ``cur`` on, in the star of ``vertex``, where the path reaches m = 1."""
     # a segment ending at cur holds no cut after it
     for seg in p.segments[bisect_right(p._time_index[0], cur) :]:
-        key = (seg.cube, ending, starting)
-        if key not in surfaces:
-            surfaces[key] = _surfaces(X, *key)
-        for surf in surfaces[key]:
+        for surf in _surfaces(X, seg.cube, ending, starting):
             root = _m_root_in_segment(seg, surf, max(cur, seg.t0))
             if root is not None and in_star(X, Point(seg.cube, _interp(seg, root)), vertex):
                 return root, surf
@@ -238,9 +218,8 @@ def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> tuple[tuple, tupl
     """Cut the path domain into one window per chain cube; returns the cuts, their surfaces and the windows."""
     bounds = [p.t0]
     surfaces: list[MSurface] = []
-    memo: dict[tuple[str, str, str], list[MSurface]] = {}
     for ending, starting, vertex in zip(chain.cubes, chain.cubes[1:], chain.vertex_sequence(X)[1:]):
-        cut, surf = _crossing(X, p, bounds[-1], ending, starting, vertex, memo)
+        cut, surf = _crossing(X, p, bounds[-1], ending, starting, vertex)
         if cut <= bounds[-1]:
             raise SubordinationError("crossing times are not strictly ascending")
         bounds.append(cut)

@@ -224,6 +224,32 @@ def test_tame_refuses_a_point_read_differently_through_two_locations_of_its_stag
         tame(Q2, p, chain)
 
 
+@pytest.mark.parametrize("n, presentations", [(2, 14), (3, 88)], ids=["q2", "q3"])
+def test_tame_fixes_a_tame_path_in_every_presentation_on_a_self_linked_complex(n, presentations):
+    # moving one segment of a tame path into any cube that hosts its carrier,
+    # through any of the locations, leaves the path the same; taming it along
+    # its own chain must give the path back
+    X = q_complex(n)
+    rng = random.Random(n)
+    checked = 0
+    for chain in enumerate_chains(X, "q0_0", f"q0_{n}", n).objects:
+        for _ in range(2):
+            p = random_strict_tame_path(X, chain, rng)
+            for k, seg in enumerate(p.segments):
+                for carrier, word in X.face_locations(seg.cube):
+                    moved = tuple(
+                        (t, tuple(next(it) if ch == "*" else F(int(ch)) for ch in word))
+                        for t, c in seg.points
+                        for it in [iter(c)]
+                    )
+                    pieces = [(s.cube, s.points) for s in p.segments]
+                    q = path(pieces[:k] + [(carrier, moved)] + pieces[k + 1 :])
+                    q.validate(X)
+                    assert paths_equal(X, tame(X, q, chain), p), (chain.cubes, k, carrier, word)
+                    checked += 1
+    assert checked == presentations
+
+
 def test_taming_homotopy_midpoint_and_endpoints():
     h = taming_homotopy(SQ, BENT, BR, F(1, 2))
     assert evaluate(SQ, h, F(6, 11)) == Point("**", (F(10, 11), F(1, 11)))
