@@ -262,11 +262,13 @@ class CubeSet:
     def _non_self_linked(self) -> tuple[bool, tuple[str, int] | None]:
         """The answer of :func:`is_non_self_linked`, decided once per instance."""
         for cid in sorted(self._dims):
-            n = self._dims[cid]
-            if n < 1:
+            faces = self.iterated_faces(cid)
+            if len(set(faces.values())) == len(faces):
                 continue
+            n = self._dims[cid]
+            # some faces coincide; name the lowest dimension where they do
             by_dim: dict[int, set[str]] = {k: set() for k in range(n + 1)}
-            for word, fid in self.iterated_faces(cid).items():
+            for word, fid in faces.items():
                 by_dim[word.count("*")].add(fid)
             for k in range(n + 1):
                 if len(by_dim[k]) != math.comb(n, k) * 2 ** (n - k):

@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Sequence
+from itertools import combinations
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import PrecubicalError
 
@@ -59,41 +60,58 @@ class SimplicialComplex:
     flags: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        n = len(self.labels)
         for s in self.maximal:
-            if any(not 0 <= v < len(self.labels) for v in s) or list(s) != sorted(set(s)):
+            if any(a >= b for a, b in zip(s, s[1:])) or (s and not (0 <= s[0] and s[-1] < n)):
                 raise PrecubicalError(f"bad simplex {s}")
 
     def dim(self) -> int:
         return max((len(s) - 1 for s in self.maximal), default=-1)
 
-    def simplices(self, budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[list[tuple[int, ...]]]:
-        """Downward closure by dimension: ``result[k]`` lists the k-simplices."""
+    def _closure(self, budget: int) -> list[set[tuple[int, ...]]]:
+        """The face closure, one unsorted set of k-simplices per dimension k.
+
+        One pass from the top dimension down: each dimension starts with
+        its maximal simplices, and each k-simplex adds its k-vertex faces
+        to the set below.  The budget is checked after every simplex, so
+        the closure never holds more than ``budget`` simplices plus the
+        faces of one.
+        """
         by_dim: list[set[tuple[int, ...]]] = [set() for _ in range(self.dim() + 1)]
-        total = 0
-        frontier = set(self.maximal)
-        seen: set[tuple[int, ...]] = set()
-        while frontier:
-            nxt: set[tuple[int, ...]] = set()
-            for s in frontier:
-                if s in seen or not s:
-                    continue
-                seen.add(s)
-                total += 1
-                if total > budget:
-                    raise PrecubicalError(
-                        f"simplex budget of {budget} exceeded in dimension {len(s) - 1} "
-                        f"(counts so far {[len(d) for d in by_dim]})"
-                    )
+        for s in self.maximal:
+            if s:
                 by_dim[len(s) - 1].add(s)
-                for i in range(len(s)):
-                    f = s[:i] + s[i + 1 :]
-                    if f and f not in seen:
-                        nxt.add(f)
-            frontier = nxt
-        return [sorted(d) for d in by_dim]
+
+        def over(k: int) -> PrecubicalError:
+            # the counts when the budget was full; lower dimensions are not reached yet
+            counts = [0] * k + [len(d) for d in by_dim[k:]]
+            counts[k] = budget - sum(counts[k + 1 :])
+            return PrecubicalError(
+                f"simplex budget of {budget} exceeded in dimension {k} (counts so far {counts})"
+            )
+
+        total = len(by_dim[-1]) if by_dim else 0  # simplices of the dimensions done and the current one
+        if total > budget:
+            raise over(len(by_dim) - 1)
+        for k in range(len(by_dim) - 1, 0, -1):
+            below = by_dim[k - 1]
+            for s in by_dim[k]:
+                below.update(combinations(s, k))
+                if total + len(below) > budget:
+                    raise over(k - 1)
+            total += len(below)
+        return by_dim
+
+    def simplices(self, budget: int = DEFAULT_SIMPLEX_BUDGET) -> list[list[tuple[int, ...]]]:
+        """Downward closure by dimension: ``result[k]`` lists the k-simplices in sorted order.
+
+        Raises :class:`PrecubicalError` naming the dimension once the
+        closure holds more than ``budget`` simplices.
+        """
+        return [sorted(d) for d in self._closure(budget)]
 
     def simplex_counts(self) -> list[int]:
-        return [len(d) for d in self.simplices()]
+        return [len(d) for d in self._closure(DEFAULT_SIMPLEX_BUDGET)]
 
 
 def _labels(poset: RefinementPoset) -> tuple[str, ...]:
@@ -263,7 +281,7 @@ class HomologyResult:
         )
 
 
-def _boundary(lower: list[tuple[int, ...]], upper: list[tuple[int, ...]]) -> list[dict[int, int]]:
+def _boundary(lower: Iterable[tuple[int, ...]], upper: Iterable[tuple[int, ...]]) -> list[dict[int, int]]:
     """The boundary of each simplex in ``upper`` as a sparse column ``{row: +-1}``.
 
     Rows number the simplices of ``lower``, the faces one dimension down.
@@ -338,7 +356,7 @@ def homology(K: SimplicialComplex) -> HomologyResult:
     """
     if not K.labels or not K.maximal:
         return HomologyResult((), (), K.flags)
-    grades = K.simplices()
+    grades = K._closure(DEFAULT_SIMPLEX_BUDGET)
     dim = len(grades) - 1
     diags: list[list[int]] = [[] for _ in range(dim + 2)]
     for k in range(1, dim + 1):

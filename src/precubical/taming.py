@@ -232,15 +232,24 @@ def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> tuple[tuple, tupl
 def _window_partition(X: CubeSet, p: PLPath, cube: str, a: Fraction, b: Fraction) -> FacePartition | None:
     """One direct embedding of the stage into a carrier over the window.
 
-    ``None`` when the path only touches the stage cube through its boundary
-    collar (coordinates then come from the collar retraction).
+    The first segment over the window whose carrier hosts the stage gives
+    the location: of several (a self-linked carrier), the first whose
+    frozen coordinates the path holds over the segment's part of the
+    window, else the first.  ``None`` when the path only touches the stage
+    cube through its boundary collar (coordinates then come from the
+    collar retraction).
     """
-    segs, hosts = p.segments, X._locations_of(cube)
-    for si in range(bisect_right(p._time_index[0], a), len(segs)):
-        if segs[si].t0 >= b:
+    hosts = X._locations_of(cube)
+    for seg in p.segments[bisect_right(p._time_index[0], a) :]:
+        if seg.t0 >= b:
             break
-        gs = hosts.get(segs[si].cube)
+        gs = hosts.get(seg.cube)
         if gs:
+            if len(gs) > 1:
+                # coordinates never decrease: a frozen 0 holds if 0 at the end, a frozen 1 if 1 at the start
+                lo, hi = _interp(seg, max(a, seg.t0)), _interp(seg, min(b, seg.t1))
+                held = lambda g: all(ch == "*" or (lo if ch == "1" else hi)[i] == int(ch) for i, ch in enumerate(g))
+                gs = [g for g in gs if held(g)] or gs
             return FacePartition.from_word(gs[0])
     return None
 

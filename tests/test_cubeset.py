@@ -102,6 +102,15 @@ def test_is_non_self_linked():
         assert is_proper(X) is is_proper(X) and is_non_self_linked(X) is is_non_self_linked(X)
 
 
+@pytest.mark.parametrize(
+    "X, witness",
+    [(q_complex(2), ("q2_0", 0)), (q_complex(3), ("q2_0", 0)), (z_complex(2), ("c1", 0)), (z_complex(3), ("c1", 0))],
+    ids=["q2", "q3", "z2", "z3"],
+)
+def test_non_self_linked_witness_is_the_first_cube_and_dimension_with_coinciding_faces(X, witness):
+    assert is_non_self_linked(X) == (False, witness)
+
+
 def test_q_complex_counts_and_structure():
     Q = q_complex(2)
     assert counts(Q, 2) == [3, 2, 1]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,6 +242,90 @@ def test_simplex_budget_error_names_dimension_and_counts():
     with pytest.raises(PrecubicalError, match=r"^simplex budget of 6 exceeded in dimension 2 "
                        r"\(counts so far \[0, 0, 0, 5, 1\]\)$"):
         K.simplices(budget=6)
+
+
+def test_simplex_budget_refusal_holds_at_most_the_budget():
+    # the 60-vertex simplex has 60 facets and C(60, 2) = 1770 faces of dimension 57;
+    # the closure stops among those, holding about the budget and not a whole dimension
+    big = SimplicialComplex(tuple(str(i) for i in range(60)), (tuple(range(60)),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrecubicalError, match=r"^simplex budget of 1000 exceeded in dimension 57 "):
+            big.simplices(budget=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "simplex",
+    [(-1, 0), (-1,), (0, 3), (3,), (1, 0), (0, 2, 1), (0, 0), (0, 1, 1)],
+    ids=["negative", "negative-vertex", "too-large", "too-large-vertex", "unsorted", "unsorted-tail",
+         "repeated", "repeated-tail"],
+)
+def test_bad_simplices_are_refused(simplex):
+    with pytest.raises(PrecubicalError, match="bad simplex"):
+        SimplicialComplex(("a", "b", "c"), ((0, 1, 2), simplex))
+
+
+def _frontier_closure(K, budget):
+    """The face closure as a breadth-first frontier from the maximal simplices, sorted by dimension.
+
+    A frozen reference: each face is built once per coface, level by level.
+    """
+    by_dim = [set() for _ in range(K.dim() + 1)]
+    total = 0
+    frontier = set(K.maximal)
+    seen = set()
+    while frontier:
+        nxt = set()
+        for s in frontier:
+            if s in seen or not s:
+                continue
+            seen.add(s)
+            total += 1
+            if total > budget:
+                raise PrecubicalError(f"simplex budget of {budget} exceeded")
+            by_dim[len(s) - 1].add(s)
+            for i in range(len(s)):
+                f = s[:i] + s[i + 1 :]
+                if f and f not in seen:
+                    nxt.add(f)
+        frontier = nxt
+    return [sorted(d) for d in by_dim]
+
+
+@st.composite
+def _mixed_complexes(draw):
+    """Simplices of 1 to 6 vertices on up to 9, not pruned to the maximal ones."""
+    n = draw(st.integers(1, 9))
+    simplices = draw(
+        st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=min(6, n)), max_size=8)
+    )
+    return SimplicialComplex(tuple(str(i) for i in range(n)), tuple(tuple(sorted(s)) for s in simplices))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_mixed_complexes(), st.integers(0, 150))
+def test_closure_matches_the_frontier_closure(K, budget):
+    reference = _frontier_closure(K, 10**6)
+    assert K.simplices() == reference
+    assert K.simplex_counts() == [len(d) for d in reference]
+    # both refuse exactly when the closure has more simplices than the budget
+    if sum(map(len, reference)) > budget:
+        with pytest.raises(PrecubicalError, match=f"^simplex budget of {budget} exceeded in dimension "):
+            K.simplices(budget=budget)
+    else:
+        assert K.simplices(budget=budget) == reference
+
+
+def test_order_complexes_of_the_benchmark_posets():
+    K = order_complex(enumerate_chains(boundary_cube(5), "v00000", "v11111", 5))
+    assert K.simplex_counts() == [540, 3420, 5760, 2880] and euler(K) == 0
+    X, source, target = pv_to_euclidean(parse_pv("A = P(a).V(a).P(b).V(b); B = P(a).V(a).P(b).V(b); C = P(a).V(a)"))
+    poset = enumerate_chains(X, source, target, 10)
+    assert len(poset.objects) == 684 and euler(order_complex(poset)) == 12
 
 
 def test_empty_complex():

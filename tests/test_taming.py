@@ -197,11 +197,14 @@ def test_tame_reads_a_stage_end_from_the_later_segment_on_a_self_linked_square(s
 
 
 @pytest.mark.parametrize(
-    "edge",
-    [[(0, (0, 0)), (F(1, 4), (0, F(1, 2))), (F(1, 2), (0, 1))], [(0, (0, 0)), (F(1, 4), (F(1, 2), 0)), (F(1, 2), (1, 0))]],
+    "edge, word",
+    [
+        ([(0, (0, 0)), (F(1, 4), (0, F(1, 2))), (F(1, 2), (0, 1))], "0*"),
+        ([(0, (0, 0)), (F(1, 4), (F(1, 2), 0)), (F(1, 2), (1, 0))], "*0"),
+    ],
     ids=["left-edge", "bottom-edge"],
 )
-def test_tame_reads_a_stage_along_either_of_its_locations_in_a_self_linked_square(edge):
+def test_tame_reads_a_stage_along_either_of_its_locations_in_a_self_linked_square(edge, word):
     # q2_0 hosts q1_0 twice, as "*0" (bottom edge) and "0*" (left edge), and
     # q1_1 twice; a point on a stage reads its own coordinates there, not
     # those of the first location
@@ -209,7 +212,10 @@ def test_tame_reads_a_stage_along_either_of_its_locations_in_a_self_linked_squar
     chain = CubeChain("q0_0", "q0_2", ("q1_0", "q1_1"))
     p.validate(Q2)
     assert is_strict(Q2, p) and subordinate_to_collar(Q2, p, chain)
-    assert crossing_times(Q2, p, chain).cuts == (F(1, 2),)
+    profile = crossing_times(Q2, p, chain)
+    assert profile.cuts == (F(1, 2),)
+    # the first stage is reported at the location the path runs along
+    assert profile.partitions[0] == FacePartition.from_word(word)
     assert tame(Q2, p, chain) == path(
         [("q1_0", [(0, (0,)), (F(1, 4), (F(1, 2),)), (F(1, 2), (1,))]), ("q1_1", [(F(1, 2), (0,)), (1, (1,))])]
     )
