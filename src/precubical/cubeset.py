@@ -67,10 +67,11 @@ class CubeSet:
             if d < 0:
                 raise PrecubicalError(f"cube {cid!r} has negative dimension {d}")
         # lazily built indexes, the one place every face lookup is read from:
-        # face tables (iterated_faces); end vertices (_ends_of); split tables
-        # (_splits_of, for chains); the locations index (_locations_of,
-        # face -> {carrier: [words]}); and collar tables (_collar,
-        # cube -> {carrier: [(box word, face word)]})
+        # face tables (iterated_faces); end vertices (_ends_of, the 0...0 and
+        # 1...1 entries of the face tables); split tables (_splits_of, for
+        # chains); the locations index (_locations_of, face -> {carrier:
+        # [words]}); and collar tables (_collar, cube -> {carrier: [(box
+        # word, face word)]})
         self._iterated: dict[str, dict[str, str]] = {}
         self._ends: dict[str, tuple[str, str]] = {}
         self._splits: dict[str, tuple[tuple[str, str], ...]] = {}
@@ -226,15 +227,11 @@ class CubeSet:
         return collar
 
     def _ends_of(self, cid: str) -> tuple[str, str]:
-        """The source and target vertex of a cube, reached by iterating the first face map on side 0 and 1."""
+        """The source and target vertex of a cube: its faces ``0...0`` and ``1...1`` in :meth:`iterated_faces`."""
         ends = self._ends.get(cid)
         if ends is None:
-            source = target = cid
-            while self.dim(source) > 0:
-                source = self.face(source, 1, 0)
-            while self.dim(target) > 0:
-                target = self.face(target, 1, 1)
-            ends = self._ends[cid] = (source, target)
+            n, faces = self.dim(cid), self.iterated_faces(cid)
+            ends = self._ends[cid] = (faces["0" * n], faces["1" * n])
         return ends
 
     def cubes_from(self, vertex: str) -> tuple[str, ...]:
@@ -336,12 +333,12 @@ def validate(X: CubeSet) -> list[Violation]:
 
 
 def source_vertex(X: CubeSet, cid: str) -> str:
-    """The vertex reached by iterating the lower first face map."""
+    """The bottom vertex of a cube: its iterated face with word ``0...0``."""
     return X._ends_of(cid)[0]
 
 
 def target_vertex(X: CubeSet, cid: str) -> str:
-    """The vertex reached by iterating the upper first face map."""
+    """The top vertex of a cube: its iterated face with word ``1...1``."""
     return X._ends_of(cid)[1]
 
 

@@ -15,8 +15,12 @@ instead of scanning all segments.  Whole-path scans (tameness, collar
 subordination, middle crossings) need no lookup: they walk the segments
 in order, and each segment lists its own samples (see :func:`_samples`).
 A piece holds its time and coordinates as integer numerators over one
-denominator each, so every sampled value, like every integral-length
-point of :func:`path_to_kinks`, is built by a single exact ``Fraction``.
+denominator each (:func:`_line`, :func:`_lines`), and every point between
+breakpoints is built from them by :func:`_point_at`, one exact
+``Fraction`` per moving coordinate: the samples, the values of
+:func:`evaluate` and the taming stages (:func:`_interp`), the
+integral-length points of :func:`path_to_kinks` and the grid points of
+:func:`strictify_homotopy`.
 """
 
 from __future__ import annotations
@@ -213,6 +217,7 @@ def _times_between(p: PLPath, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
 
 
 def _interp(seg: Segment, t: Fraction) -> tuple[Fraction, ...]:
+    """The coordinates of a segment at time ``t``: a breakpoint's own, else :func:`_point_at` on its piece."""
     pts = seg.points
     k = bisect_left(pts, t, key=itemgetter(0))
     if k < len(pts) and pts[k][0] == t:
@@ -220,8 +225,9 @@ def _interp(seg: Segment, t: Fraction) -> tuple[Fraction, ...]:
     if k == 0 or k == len(pts):
         raise PrecubicalError(f"time {t} outside segment [{seg.t0}, {seg.t1}]")
     (ta, xa), (tb, xb) = pts[k - 1], pts[k]
-    lam = (t - ta) / (tb - ta)
-    return tuple(a + lam * (b - a) for a, b in zip(xa, xb))
+    lo, rise, d = _line(ta, tb)
+    # t = tn/tq lies (tn*d - lo*tq) / (tq*rise) of the way from ta = lo/d to tb = (lo + rise)/d
+    return _point_at(_lines(xa, xb), t.numerator * d - lo * t.denominator, t.denominator * rise)
 
 
 def evaluate(X: CubeSet, p: PLPath, t) -> Point:
@@ -481,10 +487,11 @@ def strictify_homotopy(X: CubeSet, p: PLPath, s, flow: str = "rational", samples
     :func:`strictify`; interior coordinates are non-decreasing in ``s``.
 
     Each segment is resampled by one merge walk over its evenly spaced
-    times and its own breakpoints, both already ascending.  On the
-    ``rational`` flow the walk carries times, the linear interpolation and
-    ``x + s*t*x*(1-x)`` as integer numerators and denominators, and builds
-    each output time and coordinate with a single ``Fraction``; the other
+    times and its own breakpoints, both already ascending.  The grid
+    times are read off the segment's :func:`_line` and the points between
+    breakpoints off each piece's :func:`_lines` by :func:`_point_at`, as
+    in :func:`_samples`.  The ``rational`` flow ``x + s*t*x*(1-x)`` is
+    then one ``Fraction`` of integer numerators per coordinate; the other
     flows go through the float reference.  Either way the output equals,
     point for point, the flow applied at every distinct sample time to the
     exactly interpolated path.
@@ -494,52 +501,42 @@ def strictify_homotopy(X: CubeSet, p: PLPath, s, flow: str = "rational", samples
         raise PrecubicalError("homotopy stage must lie in [0, 1]")
     if not isinstance(samples, int) or samples < 1:
         raise PrecubicalError(f"samples must be a positive integer, got {samples!r}")
-    sn, sd = s.numerator, s.denominator
     if flow == "rational":
-        def move(xn: int, xd: int, tn: int, td: int) -> Fraction:
-            # x + st*x*(1-x) with x = xn/xd and st = s*t = sn*tn / (sd*td)
-            an, ad = sn * tn, sd * td
+        def move(an: int, ad: int, x: Fraction) -> Fraction:
+            # x + st*x*(1-x) with x = xn/xd and st = an/ad
+            xn, xd = x.numerator, x.denominator
             return Fraction(xn * (xd * ad + an * (xd - xn)), ad * xd * xd)
     elif flow in ("paper", "exponential"):
-        def move(xn: int, xd: int, tn: int, td: int) -> Fraction:
-            return _apply_flow(flow, Fraction(sn * tn, sd * td), Fraction(xn, xd))
+        def move(an: int, ad: int, x: Fraction) -> Fraction:
+            return _apply_flow(flow, Fraction(an, ad), x)
     else:
         raise PrecubicalError(f"unknown flow kind {flow!r}")
     if (p.t0, p.t1) != (0, 1):
         raise PrecubicalError("strictify expects a path on the domain [0, 1]")
 
     def flowed(t: Fraction, xs: tuple[Fraction, ...]) -> Breakpoint:
-        return t, tuple([move(x.numerator, x.denominator, t.numerator, t.denominator) for x in xs])
+        # the flow time s*t as an/ad
+        an, ad = s.numerator * t.numerator, s.denominator * t.denominator
+        return t, tuple([move(an, ad, x) for x in xs])
 
     segments = []
     for seg in p.segments:
         pts = seg.points
-        t0, t1 = pts[0][0], pts[-1][0]
-        # the evenly spaced times are (base + k*step) / den for k = 0..samples
-        den = t0.denominator * t1.denominator * samples
-        base = t0.numerator * t1.denominator * samples
-        step = t1.numerator * t0.denominator - t0.numerator * t1.denominator
-        grid = base + step
+        # the k-th evenly spaced time is (lo*samples + k*rise) / (d*samples), k = 0..samples
+        lo, rise, d = _line(pts[0][0], pts[-1][0])
+        den = d * samples
+        grid = lo * samples + rise
         out = [flowed(*pts[0])]
         for (ta, xa), (tb, xb) in zip(pts, pts[1:]):
-            pa, qa, pb, qb = ta.numerator, ta.denominator, tb.numerator, tb.denominator
-            # a grid time g/den inside (ta, tb) lies the fraction lam/span of
-            # the way from ta to tb, so each coordinate xa + lam/span*(xb - xa)
-            # is (lo + lam*rise) / xd
-            span = den * (pb * qa - pa * qb)
-            lines = [
-                (a.numerator * b.denominator * span, b.numerator * a.denominator - a.numerator * b.denominator,
-                 a.denominator * b.denominator * span)
-                for a, b in zip(xa, xb)
-            ]
-            end = pb * den
-            while grid * qb < end:
-                lam = (grid * qa - pa * den) * qb
-                coords = tuple([move(lo + lam * rise, xd, grid, den) for lo, rise, xd in lines])
-                out.append((Fraction(grid, den), coords))
-                grid += step
-            if grid * qb == end:  # this grid time is the breakpoint tb itself
-                grid += step
+            lines = _lines(xa, xb)
+            # a grid time g/den lies the fraction (g*pd - plo*den) / (prise*den) along the piece
+            plo, prise, pd = _line(ta, tb)
+            end = (plo + prise) * den
+            while grid * pd < end:
+                out.append(flowed(Fraction(grid, den), _point_at(lines, grid * pd - plo * den, prise * den)))
+                grid += rise
+            if grid * pd == end:  # this grid time is the breakpoint tb itself
+                grid += rise
             out.append(flowed(tb, xb))
         segments.append(Segment(seg.cube, tuple(out)))
     return PLPath(tuple(segments))
@@ -617,11 +614,14 @@ class KinkSequence:
 
 
 def _check_natural(X: CubeSet, p: PLPath) -> list[list[Fraction]]:
-    """The cumulative lengths of a constant-speed path of integral length, or raise."""
+    """The cumulative lengths of a constant-speed path of integral length, or raise.
+
+    A path of length 0 is constant, which counts as natural.
+    """
     cums = _cumulative_length(p)
     total = cums[-1][-1]
-    if total.denominator != 1 or total == 0:
-        raise PrecubicalError(f"path length {total} is not a positive integer")
+    if total.denominator != 1:
+        raise PrecubicalError(f"path length {total} is not an integer")
     span = p.t1 - p.t0
     for seg, cum in zip(p.segments, cums):
         for (t, _), c in zip(seg.points, cum):
@@ -639,6 +639,8 @@ def path_to_kinks(X: CubeSet, p: PLPath) -> KinkSequence:
     each: a breakpoint when ``k`` is its cumulative length (a junction is
     read on the earlier segment), otherwise the point the fraction
     ``(k - ca) / (cb - ca)`` along the piece from length ``ca`` to ``cb``.
+    A constant path at a vertex has length 0 and gives the one-point
+    sequence that :func:`kinks_to_path` turns back into it.
     """
     cums = _check_natural(X, p)
     tame, _ = is_tame(X, p)

@@ -188,8 +188,9 @@ def covering_nerve(
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     """The diagonal of the Smith normal form of an integer matrix.
 
-    Exact arbitrary-precision elimination; the returned non-negative
-    diagonal entries satisfy the divisibility chain d1 | d2 | ...
+    Exact arbitrary-precision elimination; the returned diagonal holds
+    the rank many nonzero entries, all positive, in the divisibility chain
+    d1 | d2 | ...
     """
     a = [list(map(int, row)) for row in matrix]
     rows = len(a)
@@ -239,20 +240,17 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
         diag.append(abs(a[top][left]))
         top += 1
         left += 1
-    # enforce the divisibility chain
+    # enforce the divisibility chain; every pivot is nonzero
     changed = True
     while changed:
         changed = False
         for k in range(len(diag) - 1):
             x, y = diag[k], diag[k + 1]
-            if x and y % x != 0:
+            if y % x:
                 g = math.gcd(x, y)
                 diag[k], diag[k + 1] = g, x * y // g
                 changed = True
-            elif x == 0 and y != 0:
-                diag[k], diag[k + 1] = y, x
-                changed = True
-    return [d for d in diag if d != 0] + [0] * sum(1 for d in diag if d == 0)
+    return diag
 
 
 @dataclass(frozen=True)
@@ -342,7 +340,7 @@ def _elementary_divisors(columns: list[dict[int, int]]) -> list[int]:
     residual = list(cols.values())
     used = sorted({i for c in residual for i in c})
     rest = smith_normal_form([[c.get(i, 0) for c in residual] for i in used])
-    return [1] * units + [d for d in rest if d]
+    return [1] * units + rest
 
 
 def homology(K: SimplicialComplex) -> HomologyResult:

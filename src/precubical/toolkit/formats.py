@@ -85,10 +85,6 @@ def _rational(value: Any, where: str) -> Fraction:
     raise FormatError(f"{where}: cannot parse rational {value!r}")
 
 
-def _rational_str(x: Fraction) -> str:
-    return str(x)
-
-
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", bool: "a boolean"}
 
 
@@ -218,9 +214,7 @@ def write_path(p: PLPath, X: CubeSet | None = None) -> str:
         "segments": [
             {
                 "cube": seg.cube,
-                "breakpoints": [
-                    [_rational_str(t), [_rational_str(x) for x in coords]] for t, coords in seg.points
-                ],
+                "breakpoints": [[str(t), [str(x) for x in coords]] for t, coords in seg.points],
             }
             for seg in p.segments
         ]
@@ -331,13 +325,7 @@ def parse_kinks(text: str, X: CubeSet | None = None) -> KinkSequence:
 
 
 def write_kinks(ks: KinkSequence) -> str:
-    return dumps(
-        {
-            "points": [
-                {"cube": q.cube, "coords": [_rational_str(x) for x in q.coords]} for q in ks.points
-            ]
-        }
-    )
+    return dumps({"points": [{"cube": q.cube, "coords": [str(x) for x in q.coords]} for q in ks.points]})
 
 
 # -- complexes and homology ------------------------------------------------------

@@ -22,6 +22,23 @@ def glued_squares() -> CubeSet:
     return CubeSet(cubes, faces)
 
 
+def interp(seg: Segment, t: Fraction) -> tuple[Fraction, ...]:
+    """The coordinates of a segment at time ``t`` by plain ``Fraction`` arithmetic.
+
+    A reference for the library's integer-numerator interpolation: the
+    breakpoint's own coordinates, else ``xa + lam*(xb - xa)`` with
+    ``lam = (t - ta)/(tb - ta)`` on the piece holding ``t``.
+    """
+    for (ta, xa), (tb, xb) in zip(seg.points, seg.points[1:]):
+        if t == ta:
+            return xa
+        if ta < t < tb:
+            lam = (t - ta) / (tb - ta)
+            return tuple(a + lam * (b - a) for a, b in zip(xa, xb))
+    assert t == seg.t1, f"time {t} outside segment [{seg.t0}, {seg.t1}]"
+    return seg.points[-1][1]
+
+
 def rand_fraction(rng: random.Random, lo=Fraction(0), hi=Fraction(1), den: int = 97) -> Fraction:
     """A random fraction strictly between lo and hi."""
     return lo + Fraction(rng.randint(1, den - 1), den) * (hi - lo)

@@ -39,10 +39,10 @@ from precubical import (
     z_complex,
 )
 from precubical.carrier import canonicalize
-from precubical.dpath import PLPath, Segment, _apply_flow, _interp, _samples, _segments_at, _times_between, path
+from precubical.dpath import PLPath, Segment, _apply_flow, _samples, _segments_at, _times_between, path
 from precubical.taming import middle_crossings
 
-from helpers import euclidean_path, glued_squares
+from helpers import euclidean_path, glued_squares, interp
 
 SQ = full_cube(2)
 DIAG = path([("**", [(0, (0, 0)), (1, (1, 1))])])
@@ -172,7 +172,7 @@ def test_segment_samples_are_breakpoints_half_crossings_and_midpoints():
         ("breakpoint", F(1, 2)), ("midpoint", F(7, 12)), ("crossing", F(2, 3)), ("midpoint", F(5, 6)),
         ("breakpoint", 1),
     ]
-    assert all(coords == _interp(seg, t) for _, t, coords in _samples(seg))
+    assert all(coords == interp(seg, t) for _, t, coords in _samples(seg))
     assert [t for _, t, _ in _samples(seg, first=False)] == [t for _, t in kinds[1:]]
 
 
@@ -397,7 +397,7 @@ def test_strictify_homotopy_equals_the_flow_at_every_sample_time(case):
         grid = {seg.t0 + F(k, samples) * (seg.t1 - seg.t0) for k in range(samples + 1)}
         times = sorted(grid | {t for t, _ in seg.points})
         move = rational_flow if flow == "rational" else lambda u, x: _apply_flow(flow, u, x)
-        expected = [(t, tuple(move(s * t, x) for x in _interp(seg, t))) for t in times]
+        expected = [(t, tuple(move(s * t, x) for x in interp(seg, t))) for t in times]
         assert out.cube == seg.cube
         assert out.points == tuple(expected)
 
@@ -462,6 +462,18 @@ def test_kink_sequence_rejects_big_steps():
     ks = KinkSequence((Point("v000", ()), Point("***", (F(2, 3), F(2, 3), F(2, 3)))))
     with pytest.raises(PrecubicalError):
         ks.validate(C3)
+
+
+def test_a_constant_path_at_a_vertex_is_a_one_point_kink_sequence():
+    ks = KinkSequence((Point("v00", ()),))
+    const = kinks_to_path(SQ, ks)
+    assert const == path([("v00", [(0, ()), (1, ())])])
+    assert path_to_kinks(SQ, const) == ks
+    # a constant path off the vertices is not tame, and a lone interior point is no path
+    with pytest.raises(PrecubicalError, match="expects a tame path"):
+        path_to_kinks(SQ, path([("**", [(0, (F(1, 2), F(1, 2))), (1, (F(1, 2), F(1, 2)))])]))
+    with pytest.raises(PrecubicalError, match="single-point kink sequence must be a vertex"):
+        kinks_to_path(SQ, KinkSequence((Point("**", (F(1, 2), F(1, 2))),)))
 
 
 def test_kinks_to_path_refuses_self_linked_and_improper():

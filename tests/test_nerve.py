@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -36,6 +38,45 @@ def test_smith_normal_form_known_matrices():
     d = smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
     for a, b in zip(d, d[1:]):
         assert b % a == 0
+
+
+def _det(m):
+    """The determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * v * _det([row[:j] + row[j + 1 :] for row in m[1:]]) for j, v in enumerate(m[0]) if v)
+
+
+def _determinantal_divisors(m):
+    """The nonzero Smith diagonal as quotients of the gcds of the k x k minors."""
+    out, prev = [], 1
+    for k in range(1, min(len(m), len(m[0])) + 1):
+        g = 0
+        for rows in itertools.combinations(range(len(m)), k):
+            for cols in itertools.combinations(range(len(m[0])), k):
+                g = math.gcd(g, _det([[m[i][j] for j in cols] for i in rows]))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return out
+
+
+# up to 4 x 4, entries -9..9: a column count, then 1 to 4 rows of that length
+_SMALL_MATRICES = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=1, max_size=4)
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_SMALL_MATRICES)
+def test_smith_normal_form_matches_the_determinantal_divisors(m):
+    from precubical.nerve import _elementary_divisors
+
+    want = _determinantal_divisors(m)
+    assert smith_normal_form(m) == want
+    columns = [{i: row[j] for i, row in enumerate(m) if row[j]} for j in range(len(m[0]))]
+    assert sorted(_elementary_divisors(columns)) == want
 
 
 def test_homology_of_standard_complexes():
@@ -221,6 +262,13 @@ def test_covering_nerve_reads_the_guarantee_from_the_poset():
     # an explicit guarantee overrides the poset's record, both ways
     assert "no-nerve-lemma-guarantee" in covering_nerve(None, square, guarantee=False).flags
     assert "no-nerve-lemma-guarantee" not in covering_nerve(None, quotient, guarantee=True).flags
+
+
+def test_homology_result_text():
+    bd3 = order_complex(enumerate_chains(boundary_cube(3), "v000", "v111", 3))
+    assert str(homology(bd3)) == "H0 = Z^1; H1 = Z^1"
+    assert str(homology(SimplicialComplex(tuple("abcdef"), tuple(RP2)))) == "H0 = Z^1; H1 = Z^0 + Z/2; H2 = Z^0"
+    assert str(HomologyResult((), ())) == "trivial"
 
 
 def test_homology_result_equivalence_ignores_padding():

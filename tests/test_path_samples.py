@@ -29,7 +29,6 @@ from precubical import (
     canonicalize,
     enumerate_chains,
     euclidean,
-    evaluate,
     finest_chain,
     full_cube,
     in_face_collar,
@@ -44,10 +43,10 @@ from precubical import (
     z_complex,
 )
 from precubical.carrier import HALF, ONE, ZERO, _in_box, _in_collar_boxes, representatives
-from precubical.dpath import _BREAKPOINT, _CROSSING, _MIDPOINT, PLPath, Segment, _interp, _samples, _times_between
+from precubical.dpath import _BREAKPOINT, _CROSSING, _MIDPOINT, PLPath, Segment, _samples, _times_between
 from precubical.taming import MSurface, _m_root_in_segment, middle_crossings
 
-from helpers import euclidean_path, random_strict_tame_path, random_two_facet_path
+from helpers import euclidean_path, interp, random_strict_tame_path, random_two_facet_path
 
 # -- the reference ----------------------------------------------------------------
 
@@ -58,6 +57,12 @@ def _with_midpoints(times: Iterable[F]) -> list[F]:
     for a, b in zip(ts, ts[1:]):
         out += ((a + b) / 2, b)
     return out
+
+
+def ref_evaluate(X, p, t):
+    """:func:`evaluate` by a scan and :func:`helpers.interp` (a junction read on the earlier segment)."""
+    seg = next(seg for seg in p.segments if seg.t0 <= t <= seg.t1)
+    return canonicalize(X, Point(seg.cube, interp(seg, t)))
 
 
 def _piece_events(seg: Segment) -> list[F]:
@@ -84,12 +89,12 @@ def _least_carriers(X, cubes):
 
 
 def _vertex_times(X, p):
-    return [t for t in p.breakpoint_times() if evaluate(X, p, t).is_vertex()]
+    return [t for t in p.breakpoint_times() if ref_evaluate(X, p, t).is_vertex()]
 
 
 def _piece_carrier(X, p, a, b):
     times = _with_midpoints([a, *_times_between(p, a, b), b])
-    least = _least_carriers(X, (evaluate(X, p, t).cube for t in times))
+    least = _least_carriers(X, (ref_evaluate(X, p, t).cube for t in times))
     return least[0] if least else None
 
 
@@ -112,7 +117,7 @@ def ref_middle_crossings(X, p):
         times = set(_piece_events(seg))
         times.update(t for t, coords in seg.points if HALF in coords)
         for t in sorted(times):
-            word = "".join("*" if x == HALF else "0" if x < HALF else "1" for x in _interp(seg, t))
+            word = "".join("*" if x == HALF else "0" if x < HALF else "1" for x in interp(seg, t))
             if "*" in word:
                 out.append((t, faces[word]))
     return out
@@ -124,7 +129,7 @@ def ref_subordinate_to_collar(X, p, chain):
     if p.end_point(X) != Point(chain.target, ()):
         raise PrecubicalError("path and chain targets differ")
     samples = _with_midpoints(itertools.chain(p.breakpoint_times(), *map(_piece_events, p.segments)))
-    pts = {t: evaluate(X, p, t) for t in samples}
+    pts = {t: ref_evaluate(X, p, t) for t in samples}
     n = len(chain.cubes)
     if n == 0:
         origin = pts[samples[0]]
@@ -178,7 +183,7 @@ def ref_m_root_in_segment(seg, surface, lo):
     times.update(_linear_events(seg, surface.min_axes + surface.max_axes, lo, tb))
     times.discard(tb)
     for ta in sorted(times, reverse=True):
-        va = surface.value(_interp(seg, ta))
+        va = surface.value(interp(seg, ta))
         if va < ONE:
             return tb if vb == ONE else ta + (ONE - va) / (vb - va) * (tb - ta)
         tb, vb = ta, va
@@ -377,7 +382,7 @@ def test_collar_helper_matches_in_face_collar_on_canonical_points(X, data):
 def ref_path_to_kinks(X, p):
     total = int(sum(sum(b - a for a, b in zip(xa, xb)) for seg in p.segments for (_, xa), (_, xb) in zip(seg.points, seg.points[1:])))
     span = p.t1 - p.t0
-    ks = KinkSequence(tuple(evaluate(X, p, p.t0 + F(k, total) * span) for k in range(total + 1)))
+    ks = KinkSequence(tuple(ref_evaluate(X, p, p.t0 + F(k, total) * span) for k in range(total + 1)))
     ks.validate(X)
     return ks
 

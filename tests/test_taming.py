@@ -17,6 +17,7 @@ from precubical import (
     PrecubicalError,
     SubordinationError,
     boundary_cube,
+    chain_diagonal,
     crossing_times,
     enumerate_chains,
     euclidean,
@@ -35,12 +36,13 @@ from precubical import (
     tame_cube,
     taming_homotopy,
 )
-from precubical.dpath import path
+from precubical.dpath import Segment, path
 from precubical.toolkit import write_chain, write_kinks, write_path
 
 from helpers import (
     euclidean_path,
     increasing_values,
+    interp,
     random_monotone_grid_path,
     random_strict_tame_path,
     random_two_facet_path,
@@ -90,9 +92,7 @@ def test_crossing_times_ascend_and_solve_exactly():
         for t, surf in zip(prof.cuts, prof.surfaces):
             seg = [s for s in p.segments if s.t0 <= t <= s.t1 and s.cube == surf.cube]
             assert seg, "surface cube must carry the crossing"
-            from precubical.dpath import _interp
-
-            assert surf.value(_interp(seg[0], t)) == 1
+            assert surf.value(interp(seg[0], t)) == 1
 
 
 def test_tame_cube_worked_piece():
@@ -103,6 +103,24 @@ def test_tame_cube_worked_piece():
     assert piece.points[0] == (F(0), (F(0), F(0)))
     assert piece.points[1] == (F(1, 2), (F(44, 45), F(0)))
     assert piece.points[2] == (F(6, 11), (F(1), F(0)))
+
+
+def test_tame_cube_pins_an_axis_frozen_at_one():
+    # the stage "1*" of BENT from t = 1/4: x is pinned at 1, and y runs from
+    # 1/20 through the breakpoint value 1/10 to 1, rescaled onto [0, 1]
+    piece = tame_cube(SQ, BENT, FacePartition.from_word("1*"), F(1, 4), 1)
+    assert piece == Segment("**", ((F(1, 4), (F(1), F(0))), (F(1, 2), (F(1), F(1, 19))), (F(1), (F(1), F(1)))))
+
+
+def test_the_empty_chain_at_a_vertex():
+    empty = CubeChain("v00", "v00", ())
+    const = chain_diagonal(SQ, empty)
+    assert const == path([("v00", [(0, ()), (1, ())])])
+    assert crossing_times(SQ, const, empty) == CrossingProfile((), (), (), ())
+    assert tame(SQ, const, empty) is const
+    assert taming_homotopy(SQ, const, empty, F(1, 2)) is const
+    assert subordinate_to_collar(SQ, const, empty)
+    assert finest_chain(SQ, const) == empty
 
 
 def test_tame_cube_identity_when_already_full_range():

@@ -383,6 +383,18 @@ def test_cli_naturalize_and_seq(tmp_path):
     assert paths_equal(C3, parse_path(back.stdout, C3), parse_path(nat.stdout, C3))
 
 
+def test_cli_seq_round_trip_of_a_one_point_sequence(tmp_path):
+    square = tmp_path / "square.json"
+    square.write_text(write_cubeset(full_cube(2)))
+    ks = '{"points": [{"cube": "v00", "coords": []}]}'
+    back = run_cli(["seq", "from", "--cubeset", str(square)], ks)
+    assert back.returncode == 0, back.stderr
+    assert parse_path(back.stdout, full_cube(2)) == path([("v00", [(0, ()), (1, ())])])
+    again = run_cli(["seq", "to", "--cubeset", str(square)], back.stdout)
+    assert again.returncode == 0, again.stderr
+    assert json.loads(again.stdout) == json.loads(ks)
+
+
 def test_cli_exit_codes(tmp_path):
     # syntax error -> 2
     bad = run_cli(["check"], "{not json")
