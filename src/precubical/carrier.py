@@ -178,26 +178,29 @@ def in_face_collar(X: CubeSet, p: Point, d: str) -> bool:
     """Whether ``p`` lies in the collar of the cube ``d`` inside the complex.
 
     The collar is the union of the collar boxes of every location of every
-    iterated face of ``d`` (including ``d`` itself).
+    iterated face of ``d`` (including ``d`` itself).  It is read in the
+    point's own canonical cube, as :func:`_in_collar_boxes` explains.
     """
-    return _in_collar_boxes(X, canonicalize(X, p), X._collar(d))
+    return _in_collar_boxes(canonicalize(X, p), X._collar(d))
 
 
-def _in_collar_boxes(X: CubeSet, p: Point, collar: dict[str, list[tuple[str, str]]]) -> bool:
+def _in_collar_boxes(p: Point, collar: dict[str, list[tuple[str, str]]]) -> bool:
     """Whether the canonical point ``p`` lies in one of the boxes of ``collar``.
 
-    ``collar`` is a cube's collar table from ``X._collar``; ``p`` is tested
-    through each of its representatives in a carrier the table names, so a
-    scan that already holds canonical points tests them without
-    canonicalizing them again.
+    ``collar`` is a cube's collar table from ``X._collar``, and only the
+    boxes in ``p``'s own cube c are tested.  That decides membership on
+    every complex that passes ``validate``: say a box ``g`` of a carrier C
+    of c holds the representative of ``p`` at the location ``w`` of c in
+    C.  That representative is 0 or 1 on the frozen axes of ``w``, so
+    ``g`` agrees with ``w`` wherever it freezes one of them, and ``g``
+    read on the free axes of ``w`` is a box of c that holds ``p``.  That
+    box locates in c the face of C named by ``w`` on its frozen axes and
+    by ``g`` elsewhere, an iterated face of the face ``g`` names; by the
+    pre-cubical relations it is an iterated face of the collar's cube, so
+    the table lists it.  A scan that already holds canonical points tests
+    them without canonicalizing them again.
     """
-    return any(
-        _in_box(_embed(word, p.coords), box)
-        for cube, words in X._locations_of(p.cube).items()
-        if cube in collar
-        for word in words
-        for box, _ in collar[cube]
-    )
+    return any(_in_box(p.coords, box) for box, _ in collar.get(p.cube, ()))
 
 
 def in_star(X: CubeSet, p: Point, v: str) -> bool:

@@ -67,11 +67,11 @@ class CubeSet:
             if d < 0:
                 raise PrecubicalError(f"cube {cid!r} has negative dimension {d}")
         # lazily built indexes, the one place every face lookup is read from:
-        # face tables (iterated_faces); end vertices (_ends_of, the 0...0 and
-        # 1...1 entries of the face tables); split tables (_splits_of, for
-        # chains); the locations index (_locations_of, face -> {carrier:
-        # [words]}); and collar tables (_collar, cube -> {carrier: [(box
-        # word, face word)]})
+        # face tables (iterated_faces; iterated_face reads one entry); end
+        # vertices (_ends_of, the 0...0 and 1...1 entries of the face
+        # tables); split tables (_splits_of, for chains); the locations
+        # index (_locations_of, face -> {carrier: [words]}); and collar
+        # tables (_collar, cube -> {carrier: [(box word, face word)]})
         self._iterated: dict[str, dict[str, str]] = {}
         self._ends: dict[str, tuple[str, str]] = {}
         self._splits: dict[str, tuple[tuple[str, str], ...]] = {}
@@ -128,25 +128,27 @@ class CubeSet:
     # so lower indices stay stable.
 
     def iterated_face(self, cid: str, word: str) -> str:
-        if len(word) != self.dim(cid):
+        """The iterated face of a cube along one face word, read from :meth:`iterated_faces`.
+
+        A word that is not one of the table's keys (a wrong length or a
+        letter other than ``0``, ``*`` and ``1``) is refused.
+        """
+        faces = self.iterated_faces(cid)
+        try:
+            return faces[word]
+        except KeyError:
             raise PrecubicalError(
-                f"face word {word!r} has length {len(word)}, cube {cid!r} has dimension {self.dim(cid)}"
-            )
-        cur = cid
-        for i in range(len(word), 0, -1):
-            ch = word[i - 1]
-            if ch != "*":
-                cur = self.face(cur, i, int(ch))
-        return cur
+                f"face word {word!r} is not a word over 0, *, 1 of length {self.dim(cid)} for cube {cid!r}"
+            ) from None
 
     def iterated_faces(self, cid: str) -> dict[str, str]:
         """All iterated faces of a cube, keyed by face word (self included).
 
         Words come in the order of ``itertools.product("0*1", repeat=dim)``.
-        The table is built one axis at a time from the highest down, as
-        :meth:`iterated_face` applies them: each level maps the word suffixes
-        seen so far to their faces, so every face map is applied once per
-        shared suffix rather than once per word.
+        The table is built one axis at a time from the highest down: each
+        level maps the word suffixes seen so far to their faces, so every
+        face map is applied once per shared suffix rather than once per
+        word.
         """
         cached = self._iterated.get(cid)
         if cached is not None:

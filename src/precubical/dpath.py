@@ -36,7 +36,6 @@ from typing import Iterable, Iterator, Sequence
 from .carrier import (
     Point,
     _common_rep_pairs,
-    _coords_in,
     _pairs_distance,
     _pairs_ordered,
     _rational,
@@ -458,15 +457,6 @@ def exponential_flow(t: float, x: float) -> float:
     return (x * e) / (1.0 - x + x * e)
 
 
-def _apply_flow(kind: str, t: Fraction, x: Fraction) -> Fraction:
-    if kind == "rational":
-        return rational_flow(t, x)
-    if kind in ("paper", "exponential"):
-        v = Fraction(exponential_flow(float(t), float(x))).limit_denominator(10**15)
-        return min(max(v, Fraction(0)), Fraction(1))
-    raise PrecubicalError(f"unknown flow kind {kind!r}")
-
-
 def strictify(X: CubeSet, p: PLPath, flow: str = "rational", samples: int = 16) -> PLPath:
     """Strictify a directed path by the diagonal flow, resampled to PL.
 
@@ -508,7 +498,9 @@ def strictify_homotopy(X: CubeSet, p: PLPath, s, flow: str = "rational", samples
             return Fraction(xn * (xd * ad + an * (xd - xn)), ad * xd * xd)
     elif flow in ("paper", "exponential"):
         def move(an: int, ad: int, x: Fraction) -> Fraction:
-            return _apply_flow(flow, Fraction(an, ad), x)
+            # the float reference, read back as a fraction clamped to [0, 1]
+            v = Fraction(exponential_flow(an / ad, float(x))).limit_denominator(10**15)
+            return min(max(v, Fraction(0)), Fraction(1))
     else:
         raise PrecubicalError(f"unknown flow kind {flow!r}")
     if (p.t0, p.t1) != (0, 1):
@@ -604,13 +596,21 @@ class KinkSequence:
             raise PrecubicalError("a kink sequence needs at least one point")
 
     def validate(self, X: CubeSet) -> None:
-        for i, (a, b) in enumerate(zip(self.points, self.points[1:])):
-            pairs = _common_rep_pairs(X, a, b)
-            if not _pairs_ordered(pairs):
-                raise PrecubicalError(f"kink step {i}: points are not ordered in a common cube")
-            d = _pairs_distance(pairs)
-            if d != 1:
-                raise PrecubicalError(f"kink step {i}: distance {d} != 1")
+        _kink_steps(X, self)
+
+
+def _kink_steps(X: CubeSet, ks: KinkSequence) -> list[list[tuple[str, tuple[Fraction, ...], tuple[Fraction, ...]]]]:
+    """Each step's representative pairs (:func:`~precubical.carrier._common_rep_pairs`), once the step is checked."""
+    steps = []
+    for i, (a, b) in enumerate(zip(ks.points, ks.points[1:])):
+        pairs = _common_rep_pairs(X, a, b)
+        if not _pairs_ordered(pairs):
+            raise PrecubicalError(f"kink step {i}: points are not ordered in a common cube")
+        d = _pairs_distance(pairs)
+        if d != 1:
+            raise PrecubicalError(f"kink step {i}: distance {d} != 1")
+        steps.append(pairs)
+    return steps
 
 
 def _check_natural(X: CubeSet, p: PLPath) -> list[list[Fraction]]:
@@ -664,46 +664,33 @@ def path_to_kinks(X: CubeSet, p: PLPath) -> KinkSequence:
     return ks
 
 
-def _minimal_common_cube(X: CubeSet, a: Point, b: Point) -> str:
-    common = X._locations_of(a.cube).keys() & X._locations_of(b.cube).keys()
-    if not common:
-        raise PrecubicalError(f"kink points {a} and {b} share no cube")
-    least = min(X.dim(c) for c in common)
-    minimal = sorted(c for c in common if X.dim(c) == least)
-    if len(minimal) != 1:
-        raise PrecubicalError(f"minimal common cube of {a} and {b} is not unique: {minimal}")
-    return minimal[0]
-
-
-def _rep_in(X: CubeSet, p: Point, cube: str) -> tuple[Fraction, ...]:
-    reps = _coords_in(X, p, cube)
-    if not reps:
-        raise PrecubicalError(f"{p} has no representative in {cube!r}")
-    if len(set(reps)) != 1:
-        raise PrecubicalError(f"{p} has several representatives in {cube!r}")
-    return reps[0]
-
-
 def kinks_to_path(X: CubeSet, ks: KinkSequence) -> PLPath:
     """Join consecutive kink points by unit-speed segments, scaled onto [0, 1].
 
     Defined only on proper non-self-linked complexes, where the minimal
-    common cube and the line segment inside it are unique.
+    common cube and the line segment inside it are unique.  Each step's
+    cube and end coordinates are read from the representative pairs that
+    checking the sequence found; a non-self-linked cube locates a face at
+    most once, so each common cube has one pair.
     """
     if not X.proper_non_self_linked():
         raise PrecubicalError("kinks_to_path requires a proper, non-self-linked complex")
-    ks.validate(X)
-    pts = [canonicalize(X, q) for q in ks.points]
-    if len(pts) == 1:
-        only = pts[0]
+    steps = _kink_steps(X, ks)
+    if not steps:
+        only = canonicalize(X, ks.points[0])
         if not only.is_vertex():
             raise PrecubicalError("a single-point kink sequence must be a vertex")
         return PLPath((Segment(only.cube, ((Fraction(0), ()), (Fraction(1), ()))),))
-    n = len(pts) - 1
+    n = len(steps)
     segments = []
-    for k, (a, b) in enumerate(zip(pts, pts[1:])):
-        cube = _minimal_common_cube(X, a, b)
-        ca, cb = _rep_in(X, a, cube), _rep_in(X, b, cube)
+    for k, pairs in enumerate(steps):
+        least = min(X.dim(cube) for cube, _, _ in pairs)
+        minimal = [pair for pair in pairs if X.dim(pair[0]) == least]
+        if len(minimal) != 1:
+            a, b = (canonicalize(X, q) for q in ks.points[k : k + 2])
+            cubes = sorted(cube for cube, _, _ in minimal)
+            raise PrecubicalError(f"minimal common cube of {a} and {b} is not unique: {cubes}")
+        cube, ca, cb = minimal[0]
         if any(y < x for x, y in zip(ca, cb)):
             raise PrecubicalError(f"kink step {k} is not increasing in {cube!r}")
         segments.append(

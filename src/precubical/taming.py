@@ -469,14 +469,14 @@ def subordinate_to_collar(X: CubeSet, p: PLPath, chain: CubeChain) -> bool:
     for i, cube in enumerate(chain.cubes):
         # stage i holds the samples from lo up to the first one outside its collar
         collar = X._collar(cube)
-        end = next((k for k in range(lo, len(pts)) if not _in_collar_boxes(X, pts[k], collar)), len(pts))
+        end = next((k for k in range(lo, len(pts)) if not _in_collar_boxes(pts[k], collar)), len(pts))
         if end == lo:
             return False
         if i == n - 1:
             return end == len(pts)
         # and is cut at the last of them in the star of the next junction vertex
         star = X._collar(vertices[i + 1])
-        lo = next((k for k in range(end - 1, lo - 1, -1) if _in_collar_boxes(X, pts[k], star)), None)
+        lo = next((k for k in range(end - 1, lo - 1, -1) if _in_collar_boxes(pts[k], star)), None)
         if lo is None:
             return False
     return True

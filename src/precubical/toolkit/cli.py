@@ -11,8 +11,9 @@ from the named file (``-`` for stdin):
       | precubical homology
 
 Commands operating on paths need the complex as well, passed via
-``--cubeset FILE``.  Exit codes: 0 on success, 1 on domain errors, 2 on
-I/O and syntax errors.
+``--cubeset FILE``.  Every file is read as UTF-8 text, and ``-`` names
+stdin.  Exit codes: 0 on success, 1 on domain errors, 2 on I/O and
+syntax errors (an unreadable or non-UTF-8 file included).
 """
 
 from __future__ import annotations
@@ -32,11 +33,19 @@ if TYPE_CHECKING:
 GENERATORS = ("boundary-cube", "full-cube", "q-complex", "z-complex")
 
 
-def _read(args) -> str:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
+def _read_file(name: str) -> str:
+    """The text of the file ``name`` (``-`` for stdin), refused as a format error if it is not UTF-8."""
+    try:
+        if name == "-":
+            return sys.stdin.read()
+        with open(name, "r", encoding="utf-8") as fh:
             return fh.read()
-    return sys.stdin.read()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{'stdin' if name == '-' else name}: not UTF-8 text (byte {e.start})") from None
+
+
+def _read(args) -> str:
+    return _read_file(args.input or "-")
 
 
 def _write(args, text: str) -> None:
@@ -50,8 +59,7 @@ def _write(args, text: str) -> None:
 def _load_cubeset_arg(args) -> CubeSet:
     if not getattr(args, "cubeset", None):
         raise FormatError("this command needs --cubeset FILE")
-    with open(args.cubeset, "r", encoding="utf-8") as fh:
-        return formats.parse_cubeset(fh.read())
+    return formats.parse_cubeset(_read_file(args.cubeset))
 
 
 def cmd_gen(args) -> None:
@@ -129,8 +137,7 @@ def cmd_tame(args) -> None:
 
     X = _load_cubeset_arg(args)
     p = formats.parse_path(_read(args), X)
-    with open(args.chain, "r", encoding="utf-8") as fh:
-        chain = formats.parse_chain(fh.read(), X)
+    chain = formats.parse_chain(_read_file(args.chain), X)
     _write(args, formats.write_path(tame(X, p.normalized(), chain), X))
 
 
@@ -146,12 +153,7 @@ def cmd_finest(args) -> None:
     from ..taming import finest_chain
 
     X = _load_cubeset_arg(args)
-    if args.path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    p = formats.parse_path(text, X)
+    p = formats.parse_path(_read_file(args.path), X)
     _write(args, formats.write_chain(finest_chain(X, p)))
 
 
@@ -170,8 +172,7 @@ def cmd_seq(args) -> None:
 def cmd_pv(args) -> None:
     from .pv import parse_pv, pv_to_euclidean
 
-    with open(args.file, "r", encoding="utf-8") as fh:
-        prog = parse_pv(fh.read())
+    prog = parse_pv(_read_file(args.file))
     X, start, end = pv_to_euclidean(prog)
     _write(args, formats.write_cubeset(X, extra={"start": start, "end": end}))
 

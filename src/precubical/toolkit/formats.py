@@ -67,6 +67,8 @@ def loads(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object")
     return doc

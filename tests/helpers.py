@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from precubical import CubeChain, CubeSet, PLPath, Segment, full_cube
+from precubical import CubeChain, CubeSet, PLPath, Point, Segment, full_cube
 
 
 def glued_squares() -> CubeSet:
@@ -37,6 +37,48 @@ def interp(seg: Segment, t: Fraction) -> tuple[Fraction, ...]:
             return tuple(a + lam * (b - a) for a, b in zip(xa, xb))
     assert t == seg.t1, f"time {t} outside segment [{seg.t0}, {seg.t1}]"
     return seg.points[-1][1]
+
+
+def walk_iterated_face(X: CubeSet, cid: str, word: str) -> str:
+    """The iterated face of a cube along a face word, by the face maps alone.
+
+    A frozen reference for the cached face table: the face maps are
+    applied one letter at a time from the highest axis down.
+    """
+    assert len(word) == X.dim(cid)
+    cur = cid
+    for i in range(len(word), 0, -1):
+        if word[i - 1] != "*":
+            cur = X.face(cur, i, int(word[i - 1]))
+    return cur
+
+
+def all_carriers_in_face_collar(X: CubeSet, p: Point, d: str) -> bool:
+    """Whether ``p`` lies in the collar of the cube ``d``, read through every carrier.
+
+    A frozen reference for the library's own-cube test: ``p`` is pushed to
+    its canonical carrier c, embedded into every cube at every location of
+    c there, and tested against every collar box of that cube, one box per
+    location of an iterated face of ``d`` (below 1/2 on axes frozen at 0,
+    above 1/2 on axes frozen at 1).
+    """
+    word = "".join("0" if x == 0 else "1" if x == 1 else "*" for x in p.coords)
+    c = X.iterated_faces(p.cube)[word]
+    interior = [x for x, ch in zip(p.coords, word) if ch == "*"]
+    faces_of_d = set(X.iterated_faces(d).values())
+    half = Fraction(1, 2)
+    for cube in X.cubes():
+        table = X.iterated_faces(cube)
+        boxes = [g for g, e in table.items() if e in faces_of_d]
+        for w, e in table.items():
+            if e != c:
+                continue
+            it = iter(interior)
+            coords = [Fraction(int(ch)) if ch != "*" else next(it) for ch in w]
+            for g in boxes:
+                if all(ch == "*" or (x < half if ch == "0" else x > half) for x, ch in zip(coords, g)):
+                    return True
+    return False
 
 
 def rand_fraction(rng: random.Random, lo=Fraction(0), hi=Fraction(1), den: int = 97) -> Fraction:

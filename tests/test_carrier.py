@@ -28,6 +28,8 @@ from precubical import (
 )
 from precubical.carrier import representatives
 
+from helpers import all_carriers_in_face_collar, glued_squares
+
 
 SQ = full_cube(2)
 
@@ -171,6 +173,46 @@ def test_star_in_self_linked_complex():
     assert in_star(Z, Point("c2", (F(1, 4), F(1, 4))), "c0")
     assert in_star(Z, Point("c2", (F(3, 4), F(1, 4))), "c0")
     assert not in_star(Z, Point("c2", (F(1, 2), F(1, 2))), "c0")
+
+
+_COLLAR_COMPLEXES = {
+    "q2": q_complex(2),
+    "q3": q_complex(3),
+    "q4": q_complex(4),
+    "z2": z_complex(2),
+    "z3": z_complex(3),
+    "glued": glued_squares(),
+    "bd3": boundary_cube(3),
+    "full3": full_cube(3),
+}
+
+
+@st.composite
+def _collar_cases(draw):
+    """A complex (a named one or a random euclidean grid) and a point of it, boundary points included."""
+    name = draw(st.sampled_from(sorted(_COLLAR_COMPLEXES) + ["grid"]))
+    if name == "grid":
+        extent = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda e: len(e) < 3 or max(e) < 3))
+        X = euclidean([(lo, tuple(x + 1 for x in lo)) for lo in itertools.product(*map(range, extent))])
+    else:
+        X = _COLLAR_COMPLEXES[name]
+    cube = draw(st.sampled_from(sorted(X.cubes())))
+    coordinate = st.one_of(
+        st.sampled_from([F(0), F(1), F(1, 2), F(1, 4), F(3, 4)]), st.integers(1, 96).map(lambda k: F(k, 97))
+    )
+    return X, Point(cube, tuple(draw(st.lists(coordinate, min_size=X.dim(cube), max_size=X.dim(cube)))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_collar_cases())
+def test_collar_and_star_membership_match_the_all_carriers_reference(case):
+    # the library tests a point against the collar boxes of its own cube only
+    X, p = case
+    for d in sorted(X.cubes()):
+        want = all_carriers_in_face_collar(X, p, d)
+        assert in_face_collar(X, p, d) == want, d
+        if X.dim(d) == 0:
+            assert in_star(X, p, d) == want, d
 
 
 def test_l1_distance_and_order():

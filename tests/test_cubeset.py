@@ -23,7 +23,7 @@ from precubical import (
 from precubical.cubeset import MAX_FACE_ENTRIES
 from precubical.toolkit import parse_pv, pv_to_euclidean
 
-from helpers import glued_squares
+from helpers import glued_squares, walk_iterated_face
 
 
 def counts(X, up_to):
@@ -195,8 +195,16 @@ def test_face_locations_and_carriers():
 def test_iterated_faces_table_equals_the_per_word_walk(build):
     X = build()
     for c in X.cubes():
-        walked = {w: X.iterated_face(c, w) for w in map("".join, itertools.product("0*1", repeat=X.dim(c)))}
+        words = list(map("".join, itertools.product("0*1", repeat=X.dim(c))))
+        walked = {w: walk_iterated_face(X, c, w) for w in words}
         assert list(X.iterated_faces(c).items()) == list(walked.items())
+        assert {w: X.iterated_face(c, w) for w in words} == walked
+
+
+@pytest.mark.parametrize("word", ["x*", "0", "0**", "*2", ""])
+def test_iterated_face_refuses_a_word_outside_the_table(word):
+    with pytest.raises(PrecubicalError, match="not a word over 0, \\*, 1 of length 2"):
+        full_cube(2).iterated_face("**", word)
 
 
 @pytest.mark.parametrize(

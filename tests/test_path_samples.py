@@ -7,7 +7,7 @@ kept here as they were: evaluation at merged global sample times,
 level events per segment, and a walk back over pairwise switch times.
 The sampler itself, built on integer numerators, is checked against the
 ``Fraction`` sampler it replaced; the collar test on canonical points
-against the representatives it once enumerated; and the one-walk
+against the all-carriers reference in ``helpers``; and the one-walk
 ``path_to_kinks`` against evaluation at every integral time.
 """
 
@@ -42,11 +42,11 @@ from precubical import (
     tame,
     z_complex,
 )
-from precubical.carrier import HALF, ONE, ZERO, _in_box, _in_collar_boxes, representatives
+from precubical.carrier import HALF, ONE, ZERO, _in_collar_boxes
 from precubical.dpath import _BREAKPOINT, _CROSSING, _MIDPOINT, PLPath, Segment, _samples, _times_between
 from precubical.taming import MSurface, _m_root_in_segment, middle_crossings
 
-from helpers import euclidean_path, interp, random_strict_tame_path, random_two_facet_path
+from helpers import all_carriers_in_face_collar, euclidean_path, interp, random_strict_tame_path, random_two_facet_path
 
 # -- the reference ----------------------------------------------------------------
 
@@ -355,11 +355,6 @@ def test_integer_sampler_on_a_simultaneous_crossing_and_a_pause():
 # -- collar membership on canonical points ------------------------------------------
 
 
-def ref_in_face_collar(X, p, d):
-    collar = X._collar(d)
-    return any(_in_box(coords, word) for cube, coords in representatives(X, p) for word, _ in collar.get(cube, ()))
-
-
 COLLAR_SPACES = [full_cube(3), boundary_cube(3), q_complex(2), q_complex(3), z_complex(2), GRIDS[3][0]]
 
 
@@ -370,8 +365,8 @@ def test_collar_helper_matches_in_face_collar_on_canonical_points(X, data):
     levels = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(1, 3), F(2, 3)]
     p = canonicalize(X, Point(cube, tuple(data.draw(st.sampled_from(levels)) for _ in range(X.dim(cube)))))
     for d in sorted(X.cubes()):
-        want = ref_in_face_collar(X, p, d)
-        assert _in_collar_boxes(X, p, X._collar(d)) == in_face_collar(X, p, d) == want
+        want = all_carriers_in_face_collar(X, p, d)
+        assert _in_collar_boxes(p, X._collar(d)) == in_face_collar(X, p, d) == want
         if X.dim(d) == 0:
             assert in_star(X, p, d) == want
 

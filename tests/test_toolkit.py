@@ -475,6 +475,31 @@ def test_cli_malformed_documents_give_a_one_line_error(tmp_path, command, doc, n
     assert r.stderr.startswith(f"error: {names}: expected ") and r.stderr.count("\n") == 1, r.stderr
 
 
+@pytest.mark.parametrize(
+    "command, stdin",
+    [
+        (["homology"], "[" * 100_000 + "]" * 100_000),
+        (["check", "--input", "BAD"], ""),
+        (["naturalize", "--cubeset", "BAD"], "{}"),
+        (["tame", "--cubeset", "SQUARE", "--chain", "BAD"], "DIAGONAL"),
+        (["finest", "--cubeset", "SQUARE", "BAD"], ""),
+        (["pv", "build", "BAD"], ""),
+    ],
+    ids=["deep-nesting", "input", "cubeset", "chain", "finest-path", "pv-file"],
+)
+def test_cli_unreadable_inputs_give_a_one_line_error(tmp_path, command, stdin):
+    # a too deeply nested document or a file that is not UTF-8 is a format error, not a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    square = tmp_path / "square.json"
+    square.write_text(write_cubeset(full_cube(2)))
+    files = {"BAD": str(bad), "SQUARE": str(square)}
+    diagonal = write_path(path([("**", [(0, (0, 0)), (1, (1, 1))])]), full_cube(2))
+    r = run_cli([files.get(arg, arg) for arg in command], diagonal if stdin == "DIAGONAL" else stdin)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
 def test_cli_chains_rejects_an_embedded_start_that_is_not_an_id():
     doc = {**json.loads(write_cubeset(full_cube(2))), "start": ["v00"], "end": "v11"}
     r = run_cli(["chains", "--max-len", "2"], json.dumps(doc))
