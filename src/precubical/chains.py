@@ -45,7 +45,8 @@ class CubeChain:
     cubes: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cubes", tuple(self.cubes))
+        if type(self.cubes) is not tuple:
+            object.__setattr__(self, "cubes", tuple(self.cubes))
         if not self.cubes and self.source != self.target:
             raise PrecubicalError("an empty chain needs equal endpoints")
 
@@ -92,16 +93,16 @@ def elementary_refinements(X: CubeSet, chain: CubeChain) -> list[CubeChain]:
     split table.  Splits are taken cube by cube, ``J`` in lexicographic
     order by size, and results are deduplicated.
     """
-    unique = dict.fromkeys(_single_splits(X, chain.cubes))
+    splits = {c: X._splits_of(c) for c in chain.cubes}
+    unique = dict.fromkeys(_split_chains(splits, chain.cubes))
     return [CubeChain(chain.source, chain.target, cubes) for cubes in unique]
 
 
-def _single_splits(X: CubeSet, cubes: tuple[str, ...]) -> Iterable[tuple[str, ...]]:
-    """The cube tuples splitting one cube of ``cubes`` along one pair of its split table, cube by cube."""
-    for k, c in enumerate(cubes):
-        head, tail = cubes[:k], cubes[k + 1 :]
-        for split in X._splits_of(c):
-            yield head + split + tail
+def _split_chains(
+    splits: dict[str, tuple[tuple[str, str], ...]], cubes: tuple[str, ...]
+) -> list[tuple[str, ...]]:
+    """The cube tuples splitting one cube of ``cubes`` along one pair of its split table in ``splits``, cube by cube."""
+    return [cubes[:k] + pair + cubes[k + 1 :] for k, c in enumerate(cubes) for pair in splits[c]]
 
 
 def refinement_set(X: CubeSet, chain: CubeChain) -> set[CubeChain]:
@@ -224,12 +225,17 @@ class RefinementPoset:
 def enumerate_chains(X: CubeSet, source: str, target: str, max_length: int) -> RefinementPoset:
     """Enumerate every cube chain between two vertices up to ``max_length``.
 
-    Depth-first extension over cubes with matching source vertex; loops are
-    allowed, so the bound is mandatory.  Results are ordered canonically by
-    (cube count, id list) and covers are restricted to enumerated objects.
+    Depth-first extension over cubes with matching source vertex;
+    loops are allowed, so the bound is mandatory.  Each vertex's steps
+    ``(cube, dimension, top vertex)`` are read from the complex once per
+    call.  Results are ordered canonically by (cube count, id list), and
+    the covers of each chain are its elementary refinements (one split
+    along one pair of a cube's cached split table) among the enumerated
+    objects.
     """
     if X.dim(source) != 0 or X.dim(target) != 0:
         raise PrecubicalError("chain endpoints must be vertices")
+    steps: dict[str, list[tuple[str, int, str]]] = {}
     found: list[tuple[str, ...]] = []
     truncated = False
     # depth-first over (vertex, cubes so far, length), so long chains need no recursion
@@ -238,19 +244,23 @@ def enumerate_chains(X: CubeSet, source: str, target: str, max_length: int) -> R
         vertex, cubes, length = stack.pop()
         if vertex == target:
             found.append(cubes)
-        for c in X.cubes_from(vertex):
-            d = X.dim(c)
+        out = steps.get(vertex)
+        if out is None:
+            out = steps[vertex] = [(c, X.dim(c), target_vertex(X, c)) for c in X.cubes_from(vertex)]
+        for c, d, top in out:
             if length + d > max_length:
                 truncated = True
             else:
-                stack.append((target_vertex(X, c), cubes + (c,), length + d))
+                stack.append((top, cubes + (c,), length + d))
     # each chain is reached once: distinct stack entries hold distinct cube tuples
     found.sort(key=lambda cs: (len(cs), cs))
-    index = {cubes: i for i, cubes in enumerate(found)}
+    get = {cubes: i for i, cubes in enumerate(found)}.get
+    splits = {c: X._splits_of(c) for out in steps.values() for c, _, _ in out}
     covers: list[tuple[int, int]] = []
     for i, cubes in enumerate(found):
-        finer = {j for j in map(index.get, _single_splits(X, cubes)) if j is not None}
-        covers.extend((i, j) for j in sorted(finer))
+        finer = set(map(get, _split_chains(splits, cubes)))
+        finer.discard(None)
+        covers += [(i, j) for j in sorted(finer)]
     objects = tuple(CubeChain(source, target, cubes) for cubes in found)
     return RefinementPoset(source, target, objects, tuple(covers), truncated, max_length, X.proper_non_self_linked())
 

@@ -144,44 +144,47 @@ class CubeSet:
     def iterated_faces(self, cid: str) -> dict[str, str]:
         """All iterated faces of a cube, keyed by face word (self included).
 
-        Words come in the order of ``itertools.product("0*1", repeat=dim)``.
-        The table is built one axis at a time from the highest down: each
-        level maps the word suffixes seen so far to their faces, so every
+        Words come in the order of ``itertools.product("0*1", repeat=dim)``
+        (:func:`_face_words`).  The faces are built one axis at a time from
+        the highest down, reading the stored face tables directly: each
+        level lists the faces of the word suffixes seen so far, so every
         face map is applied once per shared suffix rather than once per
-        word.
+        word.  Where an entry is missing, names a cube not in the complex,
+        or sits above its cube's dimension, :meth:`face` is asked for it,
+        to raise that method's error.
         """
         cached = self._iterated.get(cid)
         if cached is not None:
             return cached
-        table = {"": cid}
-        for i in range(self.dim(cid), 0, -1):
-            table = {
-                ch + suffix: cube if ch == "*" else self.face(cube, i, int(ch))
-                for ch in "0*1"
-                for suffix, cube in table.items()
-            }
-        self._iterated[cid] = table
+        dims, faces = self._dims, self._faces
+        n = self.dim(cid)
+        cubes = [cid]
+        for i in range(n, 0, -1):
+            lower, upper = (i, 0), (i, 1)
+            try:
+                rows = [faces[cube] if dims[cube] >= i else {} for cube in cubes]
+                cubes = [row[lower] for row in rows] + cubes + [row[upper] for row in rows]
+            except KeyError:
+                for alpha in (0, 1):
+                    for cube in cubes:
+                        self.face(cube, i, alpha)
+                raise
+        table = self._iterated[cid] = dict(zip(_face_words(n), cubes))
         return table
 
     def _splits_of(self, cid: str) -> tuple[tuple[str, str], ...]:
         """The ``(lower, upper)`` face pairs that split a cube along each proper non-empty axis set J.
 
-        The lower face has the word ``0`` on J and ``*`` elsewhere, the upper
-        face ``*`` on J and ``1`` elsewhere, so the two meet at one vertex.  J
-        runs by size, then lexicographically.  Pairs are not deduplicated: a
-        self-linked cube can repeat one.
+        The pairs are the cube's faces at the word pairs of
+        :func:`_split_words` for its dimension, read from
+        :meth:`iterated_faces`.  Pairs are not deduplicated: a self-linked
+        cube can repeat one.
         """
         cached = self._splits.get(cid)
         if cached is not None:
             return cached
         faces = self.iterated_faces(cid)
-        n = self._dims[cid]
-        words = (
-            "".join("0" if a in J else "*" for a in range(n))
-            for r in range(1, n)
-            for J in itertools.combinations(range(n), r)
-        )
-        table = tuple((faces[word], faces[word.translate(_UPPER)]) for word in words)
+        table = tuple((faces[lower], faces[upper]) for lower, upper in _split_words(self._dims[cid]))
         self._splits[cid] = table
         return table
 
@@ -285,6 +288,28 @@ class CubeSet:
 
 # a lower face word to the word of its complementary upper face: free axes freeze at 1, 0-axes become free
 _UPPER = str.maketrans("0*", "*1")
+
+
+@functools.cache
+def _face_words(n: int) -> tuple[str, ...]:
+    """The face words of an n-cube in ``itertools.product("0*1", repeat=n)`` order."""
+    return tuple(map("".join, itertools.product("0*1", repeat=n)))
+
+
+@functools.cache
+def _split_words(n: int) -> tuple[tuple[str, str], ...]:
+    """The ``(lower, upper)`` face words that split an n-cube along each proper non-empty axis set J.
+
+    The lower word is ``0`` on J and ``*`` elsewhere, the upper word ``*``
+    on J and ``1`` elsewhere, so the two faces meet at one vertex.  J runs
+    by size, then lexicographically.
+    """
+    lowers = (
+        "".join("0" if a in J else "*" for a in range(n))
+        for r in range(1, n)
+        for J in itertools.combinations(range(n), r)
+    )
+    return tuple((word, word.translate(_UPPER)) for word in lowers)
 
 
 # -- structural predicates -------------------------------------------------
@@ -402,6 +427,21 @@ def full_cube(n: int) -> CubeSet:
     and its source vertex is ``v00``.
     """
     _check_size("full_cube", n, lambda n: 2 * n * 3**n // 3)
+    return CubeSet(*_full_cube_tables(n))
+
+
+def boundary_cube(n: int) -> CubeSet:
+    """The boundary of the n-cube: ``full_cube(n)`` without its top cell."""
+    _check_size("boundary_cube", n, lambda n: 2 * n * 3**n // 3 - 2 * n)
+    cubes, faces = _full_cube_tables(n)
+    top = _word_id("*" * n)
+    del cubes[top]
+    faces.pop(top, None)
+    return CubeSet(cubes, faces)
+
+
+def _full_cube_tables(n: int) -> tuple[dict[str, int], dict[str, dict[tuple[int, int], str]]]:
+    """The cube and face tables of :func:`full_cube`, cells in ``itertools.product("0*1", repeat=n)`` order."""
     cubes: dict[str, int] = {}
     faces: dict[str, dict[tuple[int, int], str]] = {}
     for word_tuple in itertools.product("0*1", repeat=n):
@@ -417,16 +457,7 @@ def full_cube(n: int) -> CubeSet:
                     sub = word[:pos] + str(alpha) + word[pos + 1 :]
                     table[(i, alpha)] = _word_id(sub)
             faces[cid] = table
-    return CubeSet(cubes, faces)
-
-
-def boundary_cube(n: int) -> CubeSet:
-    """The boundary of the n-cube: ``full_cube(n)`` without its top cell."""
-    _check_size("boundary_cube", n, lambda n: 2 * n * 3**n // 3 - 2 * n)
-    X = full_cube(n)
-    cubes = {c: X.dim(c) for c in X.cubes() if X.dim(c) < n}
-    faces = {c: X.face_table(c) for c in cubes if X.dim(c) > 0}
-    return CubeSet(cubes, faces)
+    return cubes, faces
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ Homology* (2004).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -62,7 +63,7 @@ class SimplicialComplex:
     def __post_init__(self):
         n = len(self.labels)
         for s in self.maximal:
-            if any(a >= b for a, b in zip(s, s[1:])) or (s and not (0 <= s[0] and s[-1] < n)):
+            if not all(map(operator.lt, s, s[1:])) or (s and not (0 <= s[0] and s[-1] < n)):
                 raise PrecubicalError(f"bad simplex {s}")
 
     def dim(self) -> int:
@@ -136,12 +137,18 @@ def order_complex(poset: RefinementPoset) -> SimplicialComplex:
     exactly one cube, so the poset is graded by cube count: a path meets
     every grade between its ends once, which makes distinct paths distinct
     sets, and no element can be inserted into a path from a coarsest to a
-    finest chain, which makes each path inclusion-maximal.  A truncated
-    poset yields a flagged lower approximation.  On complexes that are not
-    proper and non-self-linked the poset merges refinements (two splits of
-    a self-linked cube can give the same chain), so the result is flagged
-    as in :func:`covering_nerve`, read from the poset's record of whether
-    its complex is proper and non-self-linked.
+    finest chain, which makes each path inclusion-maximal.  Each path is
+    kept as walked, with no sort: each cover adds one cube and
+    :func:`~precubical.chains.enumerate_chains` lists objects by cube
+    count first, so every cover leads to a higher index and indices
+    increase along every path (a parsed poset is held to covers that
+    lead to later objects, and :class:`SimplicialComplex` checks every
+    simplex).  A truncated poset yields a flagged lower approximation.  On
+    complexes that are not proper and non-self-linked the poset merges
+    refinements (two splits of a self-linked cube can give the same
+    chain), so the result is flagged as in :func:`covering_nerve`, read
+    from the poset's record of whether its complex is proper and
+    non-self-linked.
     """
     n = len(poset.objects)
     finer: list[list[int]] = [[] for _ in range(n)]
@@ -157,7 +164,7 @@ def order_complex(poset: RefinementPoset) -> SimplicialComplex:
         if finer[walk[-1]]:
             stack.extend(walk + (nxt,) for nxt in finer[walk[-1]])
         else:
-            maximal.append(tuple(sorted(walk)))
+            maximal.append(walk)
     return SimplicialComplex(_labels(poset), tuple(sorted(maximal)), _flags(poset, None))
 
 

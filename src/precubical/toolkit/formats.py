@@ -265,10 +265,13 @@ def parse_poset(text: str) -> RefinementPoset:
         if len(_items(cover, int, f"poset 'covers'[{k}]")) != 2:
             raise FormatError(f"poset 'covers'[{k}]: expected a [coarser, finer] pair, got {cover!r:.40}")
         covers.append(tuple(cover))
-    # order_complex and covering_nerve rely on covers being distinct one-cube refinements
+    # order_complex and covering_nerve rely on covers being distinct one-cube refinements,
+    # and order_complex on each cover leading to a later object
     for a, b in covers:
         if not (0 <= a < len(objects) and 0 <= b < len(objects)) or len(objects[b]) != len(objects[a]) + 1:
             raise FormatError(f"poset: cover {[a, b]} does not add one cube to a listed chain")
+        if b < a:
+            raise FormatError(f"poset: cover {[a, b]} leads to an earlier object")
     if len(set(covers)) != len(covers):
         raise FormatError("poset: repeated cover")
     return RefinementPoset(

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from precubical import CubeChain, CubeSet, PLPath, Point, Segment, full_cube
+from precubical import CubeChain, CubeSet, PLPath, Point, RefinementPoset, Segment, full_cube, target_vertex
 
 
 def glued_squares() -> CubeSet:
@@ -51,6 +52,53 @@ def walk_iterated_face(X: CubeSet, cid: str, word: str) -> str:
         if word[i - 1] != "*":
             cur = X.face(cur, i, int(word[i - 1]))
     return cur
+
+
+def reference_enumeration(X: CubeSet, source: str, target: str, max_length: int) -> RefinementPoset:
+    """The refinement poset by a frozen copy of the depth-first enumeration and its per-split cover loop.
+
+    A reference for the library's table-driven build: each stack entry
+    reads its vertex's cubes from ``cubes_from``, and each chain's covers
+    are found by splitting one cube at a time along the lower and upper
+    faces of each proper non-empty axis set, walked by the face maps
+    (:func:`walk_iterated_face`).
+    """
+
+    def splits(c):
+        n = X.dim(c)
+        for r in range(1, n):
+            for J in itertools.combinations(range(n), r):
+                lower = "".join("0" if a in J else "*" for a in range(n))
+                upper = "".join("*" if a in J else "1" for a in range(n))
+                yield walk_iterated_face(X, c, lower), walk_iterated_face(X, c, upper)
+
+    def single_splits(cubes):
+        for k, c in enumerate(cubes):
+            head, tail = cubes[:k], cubes[k + 1 :]
+            for split in splits(c):
+                yield head + split + tail
+
+    found = []
+    truncated = False
+    stack = [(source, (), 0)]
+    while stack:
+        vertex, cubes, length = stack.pop()
+        if vertex == target:
+            found.append(cubes)
+        for c in X.cubes_from(vertex):
+            d = X.dim(c)
+            if length + d > max_length:
+                truncated = True
+            else:
+                stack.append((target_vertex(X, c), cubes + (c,), length + d))
+    found.sort(key=lambda cs: (len(cs), cs))
+    index = {cubes: i for i, cubes in enumerate(found)}
+    covers = []
+    for i, cubes in enumerate(found):
+        finer = {j for j in map(index.get, single_splits(cubes)) if j is not None}
+        covers.extend((i, j) for j in sorted(finer))
+    objects = tuple(CubeChain(source, target, cubes) for cubes in found)
+    return RefinementPoset(source, target, objects, tuple(covers), truncated, max_length, X.proper_non_self_linked())
 
 
 def all_carriers_in_face_collar(X: CubeSet, p: Point, d: str) -> bool:

@@ -35,7 +35,13 @@ from precubical import (
 from precubical.chains import _ccr_brute
 from precubical.dpath import path
 
-from helpers import glued_squares, random_monotone_grid_path, random_strict_tame_path, random_two_facet_path
+from helpers import (
+    glued_squares,
+    random_monotone_grid_path,
+    random_strict_tame_path,
+    random_two_facet_path,
+    reference_enumeration,
+)
 
 SQ = full_cube(2)
 B3 = boundary_cube(3)
@@ -455,6 +461,46 @@ def test_covers_and_refinements_match_the_split_word_reference(case):
 )
 def test_covers_match_the_reference_where_splits_collapse(X, source, target, length):
     _assert_covers_match_reference(X, source, target, length)
+
+
+# -- the enumeration against a frozen copy of the per-split build ----------------
+
+
+def _assert_enumeration_matches_the_reference(X, source, target, length):
+    poset = enumerate_chains(X, source, target, length)
+    expected = reference_enumeration(X, source, target, length)
+    assert [c.cubes for c in poset.objects] == [c.cubes for c in expected.objects]
+    assert poset.covers == expected.covers
+    assert (poset.truncated, poset.proper_non_self_linked) == (expected.truncated, expected.proper_non_self_linked)
+    assert poset == expected
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_random_box_sets(), st.integers(-1, 0))
+def test_enumeration_matches_the_frozen_reference_on_box_sets(case, slack):
+    X, source, target, length = case
+    _assert_enumeration_matches_the_reference(X, source, target, length + slack)
+
+
+@pytest.mark.parametrize(
+    "X, source, target, length",
+    [
+        (q_complex(2), "q0_0", "q0_2", 2),
+        (q_complex(3), "q0_0", "q0_3", 3),
+        (q_complex(4), "q0_0", "q0_4", 4),
+        (z_complex(2), "c0", "c0", 2),
+        (z_complex(2), "c0", "c0", 3),
+        (z_complex(3), "c0", "c0", 3),
+        (z_complex(3), "c0", "c0", 4),
+        (glued_squares(), "v00", "v11", 2),
+        (boundary_cube(3), "v000", "v111", 3),
+        (boundary_cube(4), "v0000", "v1111", 4),
+        (boundary_cube(5), "v00000", "v11111", 5),
+    ],
+    ids=["q2", "q3", "q4", "z2-2", "z2-3", "z3-3", "z3-4", "glued-squares", "bd3", "bd4", "bd5"],
+)
+def test_enumeration_matches_the_frozen_reference(X, source, target, length):
+    _assert_enumeration_matches_the_reference(X, source, target, length)
 
 
 # -- refinement queries against the breadth-first reference ----------------------

@@ -239,6 +239,55 @@ def test_iterated_faces_raises_on_a_missing_face_entry():
         broken.iterated_faces("*0")
 
 
+def _face_map_levels(X, cid):
+    """The iterated-face table built one level at a time through ``face``: a frozen copy of the face-map build."""
+    table = {"": cid}
+    for i in range(X.dim(cid), 0, -1):
+        table = {
+            ch + suffix: cube if ch == "*" else X.face(cube, i, int(ch))
+            for ch in "0*1"
+            for suffix, cube in table.items()
+        }
+    return table
+
+
+@pytest.mark.parametrize(
+    "cid, entries, extra, raising",
+    [
+        # a face of the wrong dimension: a vertex where an edge belongs
+        ("**", {("**", (2, 0)): "v00"}, {}, ("v00", 1, 0)),
+        # the same, with a stray face table on the vertex
+        ("**", {("**", (2, 0)): "v00"}, {"v00": {(1, 0): "v00", (1, 1): "v00"}}, ("v00", 1, 0)),
+        # an edge where a square belongs, two levels down
+        ("***", {("***", (3, 1)): "*01"}, {}, ("*01", 2, 1)),
+        # an unknown face id: every d(i,0) of a level is read before any d(i,1)
+        ("**", {("**", (2, 1)): "ghost"}, {"*0": {(1, 0): "v00"}}, ("ghost", 1, 0)),
+        ("**", {("**", (2, 0)): "ghost", ("**", (2, 1)): "v00"}, {}, ("ghost", 1, 0)),
+        # a face of higher dimension reads on without an error
+        ("**", {("*0", (1, 0)): "**"}, {}, None),
+    ],
+    ids=["vertex-face", "vertex-face-stray-table", "edge-face", "unknown-before-missing", "unknown-then-vertex", "higher"],
+)
+def test_iterated_faces_on_an_invalid_complex_raises_as_face_does(cid, entries, extra, raising):
+    X = full_cube(len(cid))
+    faces = {c: X.face_table(c) for c in X.cubes() if X.dim(c) > 0}
+    for (c, key), fid in entries.items():
+        faces[c][key] = fid
+    faces.update(extra)
+    broken = CubeSet({c: X.dim(c) for c in X.cubes()}, faces)
+    if raising is None:
+        assert list(broken.iterated_faces(cid).items()) == list(_face_map_levels(broken, cid).items())
+        return
+    with pytest.raises(PrecubicalError) as expected:
+        broken.face(*raising)
+    with pytest.raises(PrecubicalError) as found:
+        broken.iterated_faces(cid)
+    assert (type(found.value), str(found.value)) == (type(expected.value), str(expected.value))
+    with pytest.raises(PrecubicalError) as frozen:
+        _face_map_levels(broken, cid)
+    assert str(frozen.value) == str(expected.value)
+
+
 def test_validate_reports_unknown_face_ids():
     X = CubeSet({"v": 0, "e": 1}, {"e": {(1, 0): "v", (1, 1): "ghost"}})
     kinds = sorted(v.kind for v in validate(X))

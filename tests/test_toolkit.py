@@ -160,6 +160,18 @@ def test_parse_poset_rejects_covers_that_do_not_add_one_cube():
             parse_poset(json.dumps({**doc, "covers": covers}))
 
 
+def test_parse_poset_rejects_covers_that_lead_to_earlier_objects():
+    doc = json.loads(write_poset(enumerate_chains(boundary_cube(3), "v000", "v111", 3)))
+    last = len(doc["objects"]) - 1
+    reversed_doc = {
+        **doc,
+        "objects": doc["objects"][::-1],
+        "covers": [[last - a, last - b] for a, b in doc["covers"]],
+    }
+    with pytest.raises(FormatError, match="leads to an earlier object"):
+        parse_poset(json.dumps(reversed_doc))
+
+
 def test_parse_poset_accepts_only_integer_cover_indices():
     doc = json.loads(write_poset(enumerate_chains(boundary_cube(3), "v000", "v111", 3)))
     a, b = doc["covers"][0]
