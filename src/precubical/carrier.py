@@ -11,6 +11,7 @@ quotient map identifies boundary points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -115,8 +116,13 @@ def canonicalize(X: CubeSet, p: Point) -> Point:
     """
     if len(p.coords) != X.dim(p.cube):
         raise PrecubicalError(f"point has {len(p.coords)} coordinates but cube {p.cube!r} has dimension {X.dim(p.cube)}")
-    word = "".join(["0" if x.numerator == 0 else "1" if x.numerator == x.denominator else "*" for x in p.coords])
+    word = _face_word(p.coords)
     return Point(X.iterated_faces(p.cube)[word], tuple([x for x, ch in zip(p.coords, word) if ch == "*"]))
+
+
+def _face_word(coords: Iterable[Fraction]) -> str:
+    """The face word coordinates spell: ``0`` and ``1`` where they are 0 or 1, ``*`` elsewhere."""
+    return "".join(["0" if x.numerator == 0 else "1" if x.numerator == x.denominator else "*" for x in coords])
 
 
 def face(X: CubeSet, cid: str, fp: FacePartition) -> str:
@@ -152,14 +158,19 @@ def _coords_in(X: CubeSet, p: Point, cube: str) -> list[tuple[Fraction, ...]]:
     return [_embed(word, p.coords) for word in X._locations_of(p.cube).get(cube, ())]
 
 
-def _in_box(coords: tuple[Fraction, ...], word: str) -> bool:
+def _sides(coords: Iterable[Fraction]) -> str:
+    """The side of 1/2 of each coordinate: ``0`` below, ``1`` above, ``*`` on it.
+
+    A coordinate ``n/d`` is below 1/2 exactly when ``2*n < d``.
+    """
+    return "".join(["0" if 2 * x.numerator < x.denominator else "1" if 2 * x.numerator > x.denominator else "*" for x in coords])
+
+
+def _in_box(sides: str, word: str) -> bool:
     # Half-open collar box of the face named by ``word``: strictly below 1/2
     # on axes frozen at 0, strictly above on axes frozen at 1; free axes
-    # are unconstrained.  x < 1/2 exactly when 2*numerator < denominator.
-    return all(
-        ch == "*" or (2 * x.numerator < x.denominator if ch == "0" else 2 * x.numerator > x.denominator)
-        for x, ch in zip(coords, word)
-    )
+    # are unconstrained.  ``sides`` are the point's sides of 1/2 (:func:`_sides`).
+    return all(ch == "*" or ch == side for ch, side in zip(word, sides))
 
 
 def in_collar(X: CubeSet, p: Point, cid: str, fp: FacePartition) -> bool:
@@ -171,7 +182,7 @@ def in_collar(X: CubeSet, p: Point, cid: str, fp: FacePartition) -> bool:
     if fp.n != X.dim(cid):
         raise PrecubicalError(f"partition over {fp.n} axes applied to {X.dim(cid)}-cube {cid!r}")
     word = fp.word()
-    return any(_in_box(coords, word) for coords in _coords_in(X, canonicalize(X, p), cid))
+    return any(_in_box(_sides(coords), word) for coords in _coords_in(X, canonicalize(X, p), cid))
 
 
 def in_face_collar(X: CubeSet, p: Point, d: str) -> bool:
@@ -181,15 +192,18 @@ def in_face_collar(X: CubeSet, p: Point, d: str) -> bool:
     iterated face of ``d`` (including ``d`` itself).  It is read in the
     point's own canonical cube, as :func:`_in_collar_boxes` explains.
     """
-    return _in_collar_boxes(canonicalize(X, p), X._collar(d))
+    p = canonicalize(X, p)
+    return _in_collar_boxes(p.cube, _sides(p.coords), X._collar(d))
 
 
-def _in_collar_boxes(p: Point, collar: dict[str, list[tuple[str, str]]]) -> bool:
-    """Whether the canonical point ``p`` lies in one of the boxes of ``collar``.
+def _in_collar_boxes(cube: str, sides: str, collar: dict[str, list[tuple[str, str]]]) -> bool:
+    """Whether a canonical point ``p`` lies in one of the boxes of ``collar``.
 
-    ``collar`` is a cube's collar table from ``X._collar``, and only the
-    boxes in ``p``'s own cube c are tested.  That decides membership on
-    every complex that passes ``validate``: say a box ``g`` of a carrier C
+    ``p`` is given by its cube c and the :func:`_sides` of its coordinates,
+    which are all a box reads.  ``collar`` is a cube's collar table from
+    ``X._collar``, and only the boxes in c are tested.  That decides
+    membership on every complex that passes ``validate`` (the locations
+    index refuses any other): say a box ``g`` of a carrier C
     of c holds the representative of ``p`` at the location ``w`` of c in
     C.  That representative is 0 or 1 on the frozen axes of ``w``, so
     ``g`` agrees with ``w`` wherever it freezes one of them, and ``g``
@@ -197,10 +211,10 @@ def _in_collar_boxes(p: Point, collar: dict[str, list[tuple[str, str]]]) -> bool
     box locates in c the face of C named by ``w`` on its frozen axes and
     by ``g`` elsewhere, an iterated face of the face ``g`` names; by the
     pre-cubical relations it is an iterated face of the collar's cube, so
-    the table lists it.  A scan that already holds canonical points tests
-    them without canonicalizing them again.
+    the table lists it.  A path scan tests its samples by cube and sides
+    without building their coordinates.
     """
-    return any(_in_box(p.coords, box) for box, _ in collar.get(p.cube, ()))
+    return any(_in_box(sides, box) for box, _ in collar.get(cube, ()))
 
 
 def in_star(X: CubeSet, p: Point, v: str) -> bool:
@@ -245,8 +259,12 @@ def leq_in_cube(X: CubeSet, p: Point, q: Point) -> bool:
 
 
 def _pairs_distance(pairs) -> Fraction:
-    """The least Manhattan distance over representative pairs of :func:`_common_rep_pairs`."""
-    return min(sum((abs(a - b) for a, b in zip(cp, cq)), Fraction(0)) for _, cp, cq in pairs)
+    """The least Manhattan distance over representative pairs of :func:`_common_rep_pairs`, each one ``Fraction`` of integer numerators."""
+    out = []
+    for _, cp, cq in pairs:
+        den = math.lcm(*[x.denominator for x in cp + cq])
+        out.append(Fraction(sum([abs(a.numerator * (den // a.denominator) - b.numerator * (den // b.denominator)) for a, b in zip(cp, cq)]), den))
+    return min(out)
 
 
 def _pairs_ordered(pairs) -> bool:

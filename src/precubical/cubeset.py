@@ -70,8 +70,9 @@ class CubeSet:
         # face tables (iterated_faces; iterated_face reads one entry); end
         # vertices (_ends_of, the 0...0 and 1...1 entries of the face
         # tables); split tables (_splits_of, for chains); the locations
-        # index (_locations_of, face -> {carrier: [words]}); and collar
-        # tables (_collar, cube -> {carrier: [(box word, face word)]})
+        # index (_locations_of, face -> {carrier: [words]}, built only on a
+        # complex that passes validate); and collar tables (_collar,
+        # cube -> {carrier: [(box word, face word)]})
         self._iterated: dict[str, dict[str, str]] = {}
         self._ends: dict[str, tuple[str, str]] = {}
         self._splits: dict[str, tuple[tuple[str, str], ...]] = {}
@@ -192,8 +193,17 @@ class CubeSet:
         return frozenset(self.iterated_faces(cid).values())
 
     def _locations_of(self, target: str) -> dict[str, tuple[str, ...]]:
-        """The words locating ``target`` in each of its carriers (itself included), all sorted."""
+        """The words locating ``target`` in each of its carriers (itself included), all sorted.
+
+        Carrier, collar and star answers hold only where the pre-cubical
+        relations do, so a complex that fails :func:`validate` is refused.
+        """
         if self._locations is None:
+            if self._violations:
+                v = self._violations[0]
+                raise PrecubicalError(
+                    f"the complex fails validation ({len(self._violations)} violations), first {v.kind} at {v.cube!r}: {v.detail}"
+                )
             locations: dict[str, dict[str, tuple[str, ...]]] = {c: {} for c in self._dims}
             for cid in sorted(self._dims):
                 words: dict[str, list[str]] = {}
@@ -248,6 +258,11 @@ class CubeSet:
                     index.setdefault(self._ends_of(cid)[0], []).append(cid)
             self._by_source = {v: tuple(cs) for v, cs in index.items()}
         return self._by_source.get(vertex, ())
+
+    @functools.cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        """The answer of :func:`validate`, decided once per instance."""
+        return tuple(_find_violations(self))
 
     @functools.cached_property
     def _proper(self) -> tuple[bool, tuple[str, str] | None]:
@@ -318,8 +333,14 @@ def _split_words(n: int) -> tuple[tuple[str, str], ...]:
 def validate(X: CubeSet) -> list[Violation]:
     """Check face-table completeness, dimensions, and the pre-cubical relations.
 
-    Violations are returned as data; an empty list means the complex is valid.
+    Violations are returned as data; an empty list means the complex is
+    valid.  Decided once per instance.
     """
+    return list(X._violations)
+
+
+def _find_violations(X: CubeSet) -> list[Violation]:
+    """The violations of :func:`validate`, found afresh."""
     out: list[Violation] = []
     for cid in sorted(X.cubes()):
         n = X.dim(cid)

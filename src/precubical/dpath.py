@@ -11,16 +11,21 @@ Each path lazily builds one time index on first use: the ascending
 segment end times and the distinct breakpoint times.  Paths are
 immutable, so the index never goes stale; every per-time lookup (the
 segments holding a time, the breakpoints inside an interval) bisects it
-instead of scanning all segments.  Whole-path scans (tameness, collar
-subordination, middle crossings) need no lookup: they walk the segments
-in order, and each segment lists its own samples (see :func:`_samples`).
+instead of scanning all segments.  Whole-path work needs no lookup: the
+scans (tameness, collar subordination, middle crossings) walk the
+segments in order, each segment listing its own samples (see
+:func:`_samples`), and taming walks the breakpoints forward once.
+
 A piece holds its time and coordinates as integer numerators over one
-denominator each (:func:`_line`, :func:`_lines`), and every point between
-breakpoints is built from them by :func:`_point_at`, one exact
-``Fraction`` per moving coordinate: the samples, the values of
-:func:`evaluate` and the taming stages (:func:`_interp`), the
-integral-length points of :func:`path_to_kinks` and the grid points of
-:func:`strictify_homotopy`.
+denominator each (:func:`_line`, :func:`_lines`).  The scans read every
+sample from these integers as signs, the face word of its canonical
+carrier and the sides of 1/2 of its free coordinates, and build no
+point.  A ``Fraction`` is built only for a value that is returned: each
+point between breakpoints by :func:`_point_at`, one per moving
+coordinate (the values of :func:`evaluate` and the taming stages, the
+integral-length points of :func:`path_to_kinks`), each flowed grid
+coordinate of :func:`strictify_homotopy`, each crossing or vertex-hit
+time and each accumulated length.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ from typing import Iterable, Iterator, Sequence
 from .carrier import (
     Point,
     _common_rep_pairs,
+    _face_word,
     _pairs_distance,
     _pairs_ordered,
     _rational,
+    _sides,
     canonicalize,
 )
 from .cubeset import CubeSet
@@ -105,7 +112,7 @@ class Segment:
         if len(self.points) < 2:
             raise PrecubicalError("a segment needs at least two breakpoints")
         times = [t for t, _ in self.points]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if any(b.numerator * a.denominator <= a.numerator * b.denominator for a, b in zip(times, times[1:])):
             raise PrecubicalError(f"segment times must strictly increase: {times}")
 
     @property
@@ -223,7 +230,12 @@ def _interp(seg: Segment, t: Fraction) -> tuple[Fraction, ...]:
         return pts[k][1]
     if k == 0 or k == len(pts):
         raise PrecubicalError(f"time {t} outside segment [{seg.t0}, {seg.t1}]")
-    (ta, xa), (tb, xb) = pts[k - 1], pts[k]
+    return _between(pts[k - 1], pts[k], t)
+
+
+def _between(a: Breakpoint, b: Breakpoint, t: Fraction) -> tuple[Fraction, ...]:
+    """The coordinates at a time ``t`` strictly between the consecutive breakpoints ``a`` and ``b``, by :func:`_point_at`."""
+    (ta, xa), (tb, xb) = a, b
     lo, rise, d = _line(ta, tb)
     # t = tn/tq lies (tn*d - lo*tq) / (tq*rise) of the way from ta = lo/d to tb = (lo + rise)/d
     return _point_at(_lines(xa, xb), t.numerator * d - lo * t.denominator, t.denominator * rise)
@@ -268,9 +280,9 @@ def is_strict(X: CubeSet, p: PLPath) -> bool:
     for seg in p.segments:
         for (_, a), (_, b) in zip(seg.points, seg.points[1:]):
             for x, y in zip(a, b):
-                if x == y and x != 0 and x != 1:
-                    return False
-                if y < x:
+                # the sign of y - x; a coordinate may hold only at 0 or 1
+                rise = y.numerator * x.denominator - x.numerator * y.denominator
+                if rise < 0 or rise == 0 and x.numerator != 0 and x.numerator != x.denominator:
                     return False
     return True
 
@@ -298,45 +310,76 @@ def _point_at(lines: list[tuple[Fraction, int, int, int]], p: int, q: int) -> tu
     return tuple([Fraction(lo * q + p * rise, d * q) if rise else a for a, lo, rise, d in lines])
 
 
+def _codes(X: CubeSet, cube: str, x: tuple[Fraction, ...]) -> tuple[str, str]:
+    """The canonical face word of the point ``x`` of ``cube`` and the sides of 1/2 of its free coordinates.
+
+    A point :func:`~precubical.carrier.canonicalize` refuses is refused with its error.
+    """
+    if len(x) != X.dim(cube) or not all(0 <= c.numerator <= c.denominator for c in x):
+        canonicalize(X, Point(cube, x))  # raises the error this point gets there
+    word = _face_word(x)
+    return word, _sides([c for c, ch in zip(x, word) if ch == "*"])
+
+
+def _sides_at(free: list[tuple[int, int, int]], p: int, q: int) -> str:
+    """The sides of 1/2 at ``p/q`` along a piece of the coordinates on these lines: ``2*(lo*q + p*rise)`` against ``d*q``."""
+    sides = ""
+    for lo, rise, d in free:
+        v, w = 2 * (lo * q + p * rise), d * q
+        sides += "0" if v < w else "1" if v > w else "*"
+    return sides
+
+
 def _samples(
-    seg: Segment, first: bool = True, *, midpoints: bool = True
-) -> Iterator[tuple[str, Fraction, tuple[Fraction, ...]]]:
-    """The samples of one segment as ``(kind, time, coordinates)``, in time order.
+    X: CubeSet, seg: Segment, first: bool = True, *, midpoints: bool = True
+) -> Iterator[tuple[str, tuple[int, int], str, str]]:
+    """The samples of one segment as ``(kind, time, word, sides)``, in time order.
 
     The samples are every breakpoint (``_BREAKPOINT``), every time strictly
     inside a piece where some coordinate rises through 1/2 (``_CROSSING``,
     one sample for simultaneous crossings), and the midpoint between each
-    pair of consecutive samples (``_MIDPOINT``), each interpolated from the
-    two ends of its piece.  Between consecutive samples of a directed
-    segment every coordinate stays on one side of 1/2 and either stays at
-    0 or 1 or stays off them, so the minimal carrier and the collar boxes
-    holding the point are those of the midpoint: a predicate that only
-    reads these is decided on the samples.  With ``first=False`` the first
-    breakpoint is left out, as a junction is read on the earlier segment;
-    with ``midpoints=False`` the midpoints are neither built nor yielded.
+    pair of consecutive samples (``_MIDPOINT``).  Between consecutive
+    samples of a directed segment every coordinate stays on one side of
+    1/2 and either stays at 0 or 1 or stays off them, so the minimal
+    carrier and the collar boxes holding the point are those of the
+    midpoint: a predicate that only reads these is decided on the samples.
+    With ``first=False`` the first breakpoint is left out, as a junction is
+    read on the earlier segment; with ``midpoints=False`` the midpoints are
+    not yielded.
 
-    Each piece holds its time and every coordinate as integers
-    ``(lo, rise, d)`` (see :func:`_line`).  A coordinate rises through 1/2
-    at ``lam = (d - 2*lo) / (2*rise)``, and at ``lam = p/q`` each value
-    is the single ``Fraction(lo*q + p*rise, d*q)`` (see :func:`_point_at`).
+    A sample is read as signs, and no point is built: ``word`` spells its
+    canonical carrier in the segment cube, ``sides`` the side of 1/2
+    (``0``, ``*`` or ``1``) of each coordinate on the free axes of
+    ``word``, and ``time`` is an unreduced integer pair ``(n, d)``, ``d > 0``.
+    Every point strictly inside a piece has one canonical carrier: ``0``
+    where both ends are 0, ``1`` where both are 1, ``*`` elsewhere.  On a
+    coordinate's :func:`_line` the crossing of 1/2 is at
+    ``(d - 2*lo) / (2*rise)``; over one common denominator ``q`` the
+    crossings sort and merge as integers.  Both ends of a piece are checked
+    as :func:`~precubical.carrier.canonicalize` checks a point before its
+    inside is read.
     """
     pts = seg.points
+    tb, xb = pts[0]
+    end = _codes(X, seg.cube, xb)
     if first:
-        t, x = pts[0]
-        yield _BREAKPOINT, t, x
+        yield _BREAKPOINT, (tb.numerator, tb.denominator), *end
     for (ta, xa), (tb, xb) in zip(pts, pts[1:]):
-        lines = _lines(xa, xb)
+        end = _codes(X, seg.cube, xb)
+        lines = list(map(_line, xa, xb))
+        word = "".join(["*" if rise or 0 < lo < d else "0" if lo == 0 else "1" for lo, rise, d in lines])
+        free = [line for line, ch in zip(lines, word) if ch == "*"]
+        halves = [(d - 2 * lo, 2 * rise) for lo, rise, d in free if 2 * lo < d < 2 * (lo + rise)]
+        q = math.lcm(*[den for _, den in halves])
+        # the stops along the piece over the denominator q: 0, then each crossing, then q
+        stops = [0, *sorted({num * (q // den) for num, den in halves}), q]
         tlo, trise, td = _line(ta, tb)
-        crossings = sorted({Fraction(d - 2 * lo, 2 * rise) for _, lo, rise, d in lines if 2 * lo < d < 2 * (lo + rise)})
-        # the fractions along the piece as (p, q): 0, then each crossing, then 1
-        stops = [(0, 1), *((lam.numerator, lam.denominator) for lam in crossings), (1, 1)]
-        for (pa, qa), (p, q) in zip(stops, stops[1:]):
+        for a, b in zip(stops, stops[1:]):
             if midpoints:
-                pm, qm = pa * q + p * qa, 2 * qa * q
-                yield _MIDPOINT, Fraction(tlo * qm + pm * trise, td * qm), _point_at(lines, pm, qm)
-            if p != q:
-                yield _CROSSING, Fraction(tlo * q + p * trise, td * q), _point_at(lines, p, q)
-        yield _BREAKPOINT, tb, xb
+                yield _MIDPOINT, (2 * q * tlo + (a + b) * trise, 2 * q * td), word, _sides_at(free, a + b, 2 * q)
+            if b != q:
+                yield _CROSSING, (q * tlo + b * trise, q * td), word, _sides_at(free, b, q)
+        yield _BREAKPOINT, (tb.numerator, tb.denominator), *end
 
 
 def is_tame(X: CubeSet, p: PLPath) -> tuple[bool, tuple[Fraction, ...] | None]:
@@ -348,19 +391,26 @@ def is_tame(X: CubeSet, p: PLPath) -> tuple[bool, tuple[Fraction, ...] | None]:
     One walk over the samples of :func:`_samples` decides both.  An affine
     coordinate reaches 0 or 1 only at a piece end or holds it throughout,
     so the visits are the breakpoints at a vertex (both ends of a pause at
-    a vertex); the samples since the last visit must share a carrier.
+    a vertex); the samples since the last visit must share a carrier.  The
+    inside of a piece has one canonical cube, so one carrier set is read
+    per piece and per breakpoint.
     """
     hits: list[Fraction] = []
     common = None
+    last = None
     for i, seg in enumerate(p.segments):
-        for kind, t, coords in _samples(seg, first=not i):
-            pt = canonicalize(X, Point(seg.cube, coords))
-            carriers = X._locations_of(pt.cube).keys()
+        faces = X.iterated_faces(seg.cube)
+        for kind, time, word, _ in _samples(X, seg, first=not i):
+            cube = faces[word]
+            if kind is not _BREAKPOINT and cube == last:
+                continue  # the rest of a piece adds no carrier
+            last = cube
+            carriers = X._locations_of(cube).keys()
             common = carriers if common is None else common & carriers
             if not common:
                 return False, None
-            if kind is _BREAKPOINT and pt.is_vertex():
-                hits.append(t)
+            if kind is _BREAKPOINT and "*" not in word:
+                hits.append(Fraction(*time))
                 common = carriers
     if not hits or hits[0] != p.t0 or hits[-1] != p.t1:
         return False, None
@@ -479,12 +529,14 @@ def strictify_homotopy(X: CubeSet, p: PLPath, s, flow: str = "rational", samples
     Each segment is resampled by one merge walk over its evenly spaced
     times and its own breakpoints, both already ascending.  The grid
     times are read off the segment's :func:`_line` and the points between
-    breakpoints off each piece's :func:`_lines` by :func:`_point_at`, as
-    in :func:`_samples`.  The ``rational`` flow ``x + s*t*x*(1-x)`` is
-    then one ``Fraction`` of integer numerators per coordinate; the other
-    flows go through the float reference.  Either way the output equals,
-    point for point, the flow applied at every distinct sample time to the
-    exactly interpolated path.
+    breakpoints off each piece's :func:`_lines` as :func:`_point_at` reads
+    them, but as unreduced integer pairs.  The ``rational`` flow
+    ``x + s*t*x*(1-x)`` is applied to each pair, so every output
+    coordinate is one ``Fraction`` of integer numerators; the other flows
+    go through the float reference (``n / d`` rounds as the ``float`` of
+    the reduced value does).  Either way the output equals, point for
+    point, the flow applied at every distinct sample time to the exactly
+    interpolated path.
     """
     s = _rational(s, "homotopy stage")
     if not 0 <= s <= 1:
@@ -492,24 +544,26 @@ def strictify_homotopy(X: CubeSet, p: PLPath, s, flow: str = "rational", samples
     if not isinstance(samples, int) or samples < 1:
         raise PrecubicalError(f"samples must be a positive integer, got {samples!r}")
     if flow == "rational":
-        def move(an: int, ad: int, x: Fraction) -> Fraction:
+        def move(an: int, ad: int, xn: int, xd: int) -> Fraction:
             # x + st*x*(1-x) with x = xn/xd and st = an/ad
-            xn, xd = x.numerator, x.denominator
             return Fraction(xn * (xd * ad + an * (xd - xn)), ad * xd * xd)
     elif flow in ("paper", "exponential"):
-        def move(an: int, ad: int, x: Fraction) -> Fraction:
+        def move(an: int, ad: int, xn: int, xd: int) -> Fraction:
             # the float reference, read back as a fraction clamped to [0, 1]
-            v = Fraction(exponential_flow(an / ad, float(x))).limit_denominator(10**15)
+            v = Fraction(exponential_flow(an / ad, xn / xd)).limit_denominator(10**15)
             return min(max(v, Fraction(0)), Fraction(1))
     else:
         raise PrecubicalError(f"unknown flow kind {flow!r}")
     if (p.t0, p.t1) != (0, 1):
         raise PrecubicalError("strictify expects a path on the domain [0, 1]")
 
-    def flowed(t: Fraction, xs: tuple[Fraction, ...]) -> Breakpoint:
-        # the flow time s*t as an/ad
+    def flowed(t: Fraction, xs: Iterable[tuple[int, int]]) -> Breakpoint:
+        # the flow time s*t as an/ad, each coordinate as an integer pair (xn, xd)
         an, ad = s.numerator * t.numerator, s.denominator * t.denominator
-        return t, tuple([move(an, ad, x) for x in xs])
+        return t, tuple([move(an, ad, xn, xd) for xn, xd in xs])
+
+    def pairs(xs: tuple[Fraction, ...]) -> list[tuple[int, int]]:
+        return [(x.numerator, x.denominator) for x in xs]
 
     segments = []
     for seg in p.segments:
@@ -518,18 +572,21 @@ def strictify_homotopy(X: CubeSet, p: PLPath, s, flow: str = "rational", samples
         lo, rise, d = _line(pts[0][0], pts[-1][0])
         den = d * samples
         grid = lo * samples + rise
-        out = [flowed(*pts[0])]
+        out = [flowed(pts[0][0], pairs(pts[0][1]))]
         for (ta, xa), (tb, xb) in zip(pts, pts[1:]):
             lines = _lines(xa, xb)
-            # a grid time g/den lies the fraction (g*pd - plo*den) / (prise*den) along the piece
+            # a grid time g/den lies the fraction (g*pd - plo*den) / q along the piece, q = prise*den
             plo, prise, pd = _line(ta, tb)
-            end = (plo + prise) * den
+            end, q = (plo + prise) * den, prise * den
             while grid * pd < end:
-                out.append(flowed(Fraction(grid, den), _point_at(lines, grid * pd - plo * den, prise * den)))
+                # each coordinate (xlo*q + num*xrise) / (xd*q) as in _point_at, left unreduced for the flow
+                num = grid * pd - plo * den
+                xs = [(xlo * q + num * xrise, xd * q) if xrise else (x.numerator, x.denominator) for x, xlo, xrise, xd in lines]
+                out.append(flowed(Fraction(grid, den), xs))
                 grid += rise
             if grid * pd == end:  # this grid time is the breakpoint tb itself
                 grid += rise
-            out.append(flowed(tb, xb))
+            out.append(flowed(tb, pairs(xb)))
         segments.append(Segment(seg.cube, tuple(out)))
     return PLPath(tuple(segments))
 
@@ -543,13 +600,15 @@ def l1_length(X: CubeSet, p: PLPath) -> Fraction:
 
 
 def _cumulative_length(p: PLPath) -> list[list[Fraction]]:
-    """Per segment, the accumulated length at each breakpoint."""
+    """Per segment, the accumulated length at each breakpoint, each one ``Fraction`` of integer numerators over a common denominator."""
     out: list[list[Fraction]] = []
     acc = Fraction(0)
     for seg in p.segments:
         cur = [acc]
         for (_, a), (_, b) in zip(seg.points, seg.points[1:]):
-            acc += sum((y - x for x, y in zip(a, b)), Fraction(0))
+            den = math.lcm(acc.denominator, *[x.denominator for x in a + b])
+            rise = sum([y.numerator * (den // y.denominator) - x.numerator * (den // x.denominator) for x, y in zip(a, b)])
+            acc = Fraction(acc.numerator * (den // acc.denominator) + rise, den)
             cur.append(acc)
         out.append(cur)
     return out

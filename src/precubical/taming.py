@@ -33,7 +33,6 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .carrier import (
-    HALF,
     ONE,
     ZERO,
     FacePartition,
@@ -43,6 +42,7 @@ from .carrier import (
     _in_box,
     _in_collar_boxes,
     _rational,
+    _sides,
     canonicalize,
     in_star,
 )
@@ -51,10 +51,10 @@ from .cubeset import CubeSet
 from .dpath import (
     PLPath,
     Segment,
+    _between,
     _interp,
     _samples,
     _segments_at,
-    _times_between,
     evaluate,
     is_strict,
 )
@@ -141,7 +141,8 @@ def _stage_coords(X: CubeSet, carrier: str, coords: tuple[Fraction, ...], stage:
     on_boundary = _coords_in(X, canonicalize(X, Point(carrier, coords)), stage)
     if on_boundary:
         return on_boundary[0]
-    boxes = [(g, h) for g, h in X._collar(stage).get(carrier, ()) if _in_box(coords, g)]
+    sides = _sides(coords)
+    boxes = [(g, h) for g, h in X._collar(stage).get(carrier, ()) if _in_box(sides, g)]
     results = {_embed(h, _free(g, coords)) for g, h in _largest(boxes)}
     if len(results) > 1:
         raise SubordinationError(f"ambiguous collar coordinates of {stage!r} in {carrier!r}")
@@ -157,7 +158,8 @@ def _m_root_in_segment(seg: Segment, surface: MSurface, lo: Fraction) -> Fractio
     latest, over i, of the earliest, over j, first passage of x_i + x_j to
     1: with no max axes x_i alone must reach 1, with no min axes that is
     ``lo``.  ``None`` when the value stays below 1, or is above 1 already
-    at ``lo``.
+    at ``lo``.  Each first passage compares the levels as integer pairs and
+    is solved as one ``Fraction`` of integer numerators.
     """
     if surface.value(seg.points[-1][1]) < ONE:
         return None
@@ -167,17 +169,24 @@ def _m_root_in_segment(seg: Segment, surface: MSurface, lo: Fraction) -> Fractio
     ahead = seg.points[bisect_right(seg.points, lo, key=itemgetter(0)) :]
 
     def first_passage(i: int, j: int | None) -> Fraction | None:
-        def level(x: tuple[Fraction, ...]) -> Fraction:
-            return x[i - 1] if j is None else x[i - 1] + x[j - 1]
+        def level(x: tuple[Fraction, ...]) -> tuple[int, int]:
+            # x_i, or x_i + x_j, as an unreduced integer pair (n, d)
+            a = x[i - 1]
+            if j is None:
+                return a.numerator, a.denominator
+            b = x[j - 1]
+            return a.numerator * b.denominator + b.numerator * a.denominator, a.denominator * b.denominator
 
-        ta, fa = lo, level(start)
-        if fa >= ONE:
+        ta, (fn, fd) = lo, level(start)
+        if fn >= fd:
             return lo
         for tb, xb in ahead:
-            fb = level(xb)
-            if fb >= ONE:
-                return ta + (ONE - fa) / (fb - fa) * (tb - ta)
-            ta, fa = tb, fb
+            gn, gd = level(xb)
+            if gn >= gd:
+                # ta + (1 - fa)/(fb - fa)*(tb - ta) = (ta*(fb - 1) + tb*(1 - fa)) / (fb - fa)
+                tn, tq, un, uq = ta.numerator, ta.denominator, tb.numerator, tb.denominator
+                return Fraction(tn * (gn - gd) * fd * uq + un * (fd - fn) * gd * tq, tq * uq * (gn * fd - fn * gd))
+            ta, fn, fd = tb, gn, gd
         return None
 
     root = lo
@@ -203,14 +212,21 @@ def _surfaces(X: CubeSet, carrier: str, ending: str, starting: str) -> list[MSur
     return [MSurface(carrier, a, b) for a, b in itertools.product(axes(ending, "0"), axes(starting, "1"))]
 
 
-def _crossing(X: CubeSet, p: PLPath, cur: Fraction, ending: str, starting: str, vertex: str) -> tuple[Fraction, MSurface]:
-    """The first time from ``cur`` on, in the star of ``vertex``, where the path reaches m = 1."""
+def _crossing(X: CubeSet, p: PLPath, cur: Fraction, k: int, ending: str, starting: str, vertex: str) -> tuple[Fraction, MSurface, int]:
+    """The first time from ``cur`` on, in the star of ``vertex``, where the path reaches m = 1, and its segment.
+
+    Cuts ascend, so the search starts at the segment ``k`` of the previous cut.
+    """
+    segments = p.segments
     # a segment ending at cur holds no cut after it
-    for seg in p.segments[bisect_right(p._time_index[0], cur) :]:
+    while k < len(segments) and segments[k].t1 <= cur:
+        k += 1
+    for k in range(k, len(segments)):
+        seg = segments[k]
         for surf in _surfaces(X, seg.cube, ending, starting):
             root = _m_root_in_segment(seg, surf, max(cur, seg.t0))
             if root is not None and in_star(X, Point(seg.cube, _interp(seg, root)), vertex):
-                return root, surf
+                return root, surf, k
     raise SubordinationError(f"no crossing from {ending!r} to {starting!r} in the star of {vertex!r}")
 
 
@@ -218,8 +234,9 @@ def _stage_windows(X: CubeSet, p: PLPath, chain: CubeChain) -> tuple[tuple, tupl
     """Cut the path domain into one window per chain cube; returns the cuts, their surfaces and the windows."""
     bounds = [p.t0]
     surfaces: list[MSurface] = []
+    k = 0
     for ending, starting, vertex in zip(chain.cubes, chain.cubes[1:], chain.vertex_sequence(X)[1:]):
-        cut, surf = _crossing(X, p, bounds[-1], ending, starting, vertex)
+        cut, surf, k = _crossing(X, p, bounds[-1], k, ending, starting, vertex)
         if cut <= bounds[-1]:
             raise SubordinationError("crossing times are not strictly ascending")
         bounds.append(cut)
@@ -308,10 +325,10 @@ def tame_cube(X: CubeSet, p: PLPath, fp: FacePartition, a, b) -> Segment:
     return Segment(seg.cube, tuple(pts))
 
 
-def _stage_value(X: CubeSet, p: PLPath, stage: str, t: Fraction, prefer_last: bool) -> tuple[Fraction, ...]:
-    segs = _segments_at(p, t)
-    for seg in reversed(segs) if prefer_last else segs:
-        f = _stage_coords(X, seg.cube, _interp(seg, t), stage)
+def _stage_value(X: CubeSet, stage: str, t: Fraction, readings: list[tuple[str, tuple[Fraction, ...]]]) -> tuple[Fraction, ...]:
+    """The stage coordinates of the path at ``t``, from the first of its ``(carrier, coordinates)`` readings that has them."""
+    for carrier, coords in readings:
+        f = _stage_coords(X, carrier, coords, stage)
         if f is not None:
             return f
     raise SubordinationError(f"point at t={t} is outside the collar of stage cube {stage!r}")
@@ -324,6 +341,11 @@ def tame(X: CubeSet, p: PLPath, chain: CubeChain) -> PLPath:
     vertex exactly at the j-th crossing time; it is strict, tame,
     subordinate to the chain, idempotent under re-taming, and fixes paths
     already presented through the chain's vertices.
+
+    One forward walk over the breakpoint times reads every stage at its
+    window ends and the times inside; at a junction a window end tries the
+    later segment first, any other time the earlier one.  Each rescaled
+    coordinate is one ``Fraction`` of integer numerators.
     """
     if not is_strict(X, p):
         raise PrecubicalError("tame expects a strict path")
@@ -334,19 +356,51 @@ def tame(X: CubeSet, p: PLPath, chain: CubeChain) -> PLPath:
     if n == 0:
         return p
     _, _, windows = _stage_windows(X, p, chain)
+    # the distinct breakpoint times, each with its (carrier, coordinates)
+    # readings: two at a junction, the earlier segment's first
+    stops: list[tuple[Fraction, list[tuple[str, tuple[Fraction, ...]]]]] = []
+    for seg in p.segments:
+        pts = seg.points
+        if stops:
+            stops[-1][1].append((seg.cube, pts[0][1]))
+            pts = pts[1:]
+        stops += [(t, [(seg.cube, x)]) for t, x in pts]
+
+    def readings(r: int, t: Fraction) -> list[tuple[str, tuple[Fraction, ...]]]:
+        # the readings at t, where stops[r] is the first breakpoint time at t or after it
+        tb, reads = stops[r]
+        if tb == t:
+            return reads
+        # t is inside the piece that ends at stops[r], in the segment both ends share
+        ta, before = stops[r - 1]
+        cube, xb = reads[0]
+        return [(cube, _between((ta, before[-1][1]), (tb, xb), t))]
+
     out: list[Segment] = []
+    r = 0
     for j, cube in enumerate(chain.cubes):
         a, b = windows[j]
         if not a < b:
             raise SubordinationError(f"stage {j} has an empty window")
-        fa = _stage_value(X, p, cube, a, prefer_last=False)
-        fb = _stage_value(X, p, cube, b, prefer_last=True)
-        dens = [hi - lo for lo, hi in zip(fa, fb)]
-        if any(d == 0 for d in dens):
+        while stops[r][0] < a:
+            r += 1
+        s = r
+        while stops[s][0] < b:
+            s += 1
+        fa = _stage_value(X, cube, a, readings(r, a))
+        fb = _stage_value(X, cube, b, readings(s, b)[::-1])
+        # per axis (ln, ld, hd, hn*ld - ln*hd) with lo = ln/ld and hi = hn/hd
+        scale = [(lo.numerator, lo.denominator, hi.denominator, hi.numerator * lo.denominator - lo.numerator * hi.denominator) for lo, hi in zip(fa, fb)]
+        if any(rise == 0 for *_, rise in scale):
             raise SubordinationError(f"degenerate free axis on stage {j}: rescale denominator is zero")
-        inner = [(t, _stage_value(X, p, cube, t, prefer_last=False)) for t in _times_between(p, a, b)]
-        pts = [(t, tuple((x - lo) / d for x, lo, d in zip(f, fa, dens))) for t, f in [(a, fa), *inner, (b, fb)]]
+        inner = [(t, _stage_value(X, cube, t, reads)) for t, reads in stops[r + (stops[r][0] == a) : s]]
+        # (x - lo)/(hi - lo) = (xn*ld - ln*xd)*hd / (xd*(hn*ld - ln*hd))
+        pts = [
+            (t, tuple([Fraction((x.numerator * ld - ln * x.denominator) * hd, x.denominator * rise) for x, (ln, ld, hd, rise) in zip(f, scale)]))
+            for t, f in [(a, fa), *inner, (b, fb)]
+        ]
         out.append(Segment(cube, tuple(pts)))
+        r = s
     result = PLPath(tuple(out))
     result.validate(X)
     return result
@@ -394,20 +448,21 @@ def middle_crossings(X: CubeSet, p: PLPath) -> list[tuple[Fraction, str]]:
     """All crossings of the coordinate-1/2 hyperplanes as ``(time, face)`` pairs.
 
     Segment by segment, every segment from its first breakpoint, in time
-    order: the samples of :func:`~precubical.dpath._samples`, built without
+    order: the samples of :func:`~precubical.dpath._samples`, without
     midpoints, that have a coordinate equal to 1/2.  A strict path meets
     each middle hyperplane of a segment cube at most once.  The face of a
     crossing has the word ``*`` on the coordinates equal to 1/2 at that
-    time, ``0`` on those below and ``1`` on those above, so simultaneous
+    time, ``0`` on those below and ``1`` on those above (the sample's
+    canonical word with its sides on the free axes), so simultaneous
     crossings give a single pair.
     """
     out: list[tuple[Fraction, str]] = []
     for seg in p.segments:
         faces = X.iterated_faces(seg.cube)
-        for _, t, coords in _samples(seg, midpoints=False):
-            if HALF in coords:
-                word = "".join("*" if x == HALF else "0" if x < HALF else "1" for x in coords)
-                out.append((t, faces[word]))
+        for _, time, word, sides in _samples(X, seg, midpoints=False):
+            if "*" in sides:
+                it = iter(sides)
+                out.append((Fraction(*time), faces["".join([next(it) if ch == "*" else ch for ch in word])]))
     return out
 
 
@@ -445,7 +500,8 @@ def subordinate_to_collar(X: CubeSet, p: PLPath, chain: CubeChain) -> bool:
 
     Greedy scan over the samples of :func:`~precubical.dpath._samples`
     (breakpoints, 1/2-crossings, and the midpoints between them), each
-    canonicalized once and tested in that form against the collar boxes:
+    read as its canonical cube and sides of 1/2 and tested in that form
+    against the collar boxes:
     stage i must stay inside the collar of the i-th chain cube and each
     cut value must lie in the star of the junction vertex.  Cuts are taken
     as late as possible, which is optimal because a later cut only shrinks
@@ -455,28 +511,31 @@ def subordinate_to_collar(X: CubeSet, p: PLPath, chain: CubeChain) -> bool:
         raise PrecubicalError("path and chain sources differ")
     if p.end_point(X) != Point(chain.target, ()):
         raise PrecubicalError("path and chain targets differ")
-    # a junction is read on the earlier segment, as in evaluate
-    pts = [
-        canonicalize(X, Point(seg.cube, coords))
-        for i, seg in enumerate(p.segments)
-        for _, _, coords in _samples(seg, first=not i)
-    ]
+    # a junction is read on the earlier segment, as in evaluate; a sample
+    # read like the one before it decides nothing new, so it is left out
+    pts: list[tuple[str, str]] = []
+    for i, seg in enumerate(p.segments):
+        faces = X.iterated_faces(seg.cube)
+        for _, _, word, sides in _samples(X, seg, first=not i):
+            pt = (faces[word], sides)
+            if not pts or pt != pts[-1]:
+                pts.append(pt)
     n = len(chain.cubes)
     if n == 0:
-        return all(pt == pts[0] for pt in pts)
+        return all(cube == chain.source for cube, _ in pts)
     vertices = chain.vertex_sequence(X)
     lo = 0
     for i, cube in enumerate(chain.cubes):
         # stage i holds the samples from lo up to the first one outside its collar
         collar = X._collar(cube)
-        end = next((k for k in range(lo, len(pts)) if not _in_collar_boxes(pts[k], collar)), len(pts))
+        end = next((k for k in range(lo, len(pts)) if not _in_collar_boxes(*pts[k], collar)), len(pts))
         if end == lo:
             return False
         if i == n - 1:
             return end == len(pts)
         # and is cut at the last of them in the star of the next junction vertex
         star = X._collar(vertices[i + 1])
-        lo = next((k for k in range(end - 1, lo - 1, -1) if _in_collar_boxes(pts[k], star)), None)
+        lo = next((k for k in range(end - 1, lo - 1, -1) if _in_collar_boxes(*pts[k], star)), None)
         if lo is None:
             return False
     return True

@@ -148,6 +148,7 @@ def _cubeset_of(doc: dict, check: bool = True) -> CubeSet:
             faces[cid] = table
     X = CubeSet(cubes, faces)
     if check:
+        # recorded on X, so the geometric lookups later in the stage do not validate again
         bad = validate(X)
         if bad:
             listing = "; ".join(f"{v.kind} at {v.cube!r}: {v.detail}" for v in bad[:10])

@@ -6,7 +6,19 @@ import itertools
 import random
 from fractions import Fraction
 
-from precubical import CubeChain, CubeSet, PLPath, Point, RefinementPoset, Segment, full_cube, target_vertex
+from precubical import (
+    CubeChain,
+    CubeSet,
+    PLPath,
+    Point,
+    PrecubicalError,
+    RefinementPoset,
+    Segment,
+    SubordinationError,
+    full_cube,
+    is_strict,
+    target_vertex,
+)
 
 
 def glued_squares() -> CubeSet:
@@ -38,6 +50,56 @@ def interp(seg: Segment, t: Fraction) -> tuple[Fraction, ...]:
             return tuple(a + lam * (b - a) for a, b in zip(xa, xb))
     assert t == seg.t1, f"time {t} outside segment [{seg.t0}, {seg.t1}]"
     return seg.points[-1][1]
+
+
+def reference_tame(X: CubeSet, p: PLPath, chain: CubeChain) -> PLPath:
+    """``tame`` by a frozen copy of its per-time stage loop.
+
+    A reference for the library's one forward walk: the windows come from
+    the library's crossing rule, and each stage is read at its window ends
+    and at every breakpoint time strictly inside, each time looked up on
+    its own (the segments holding it by bisection, the point by
+    :func:`interp`), then rescaled by ``(x - lo)/d`` in ``Fraction``
+    arithmetic.  The checks come in the library's order: the window, the
+    stage values at both ends, a zero rescale denominator, the inner times.
+    """
+    from precubical.dpath import _segments_at
+    from precubical.taming import _stage_coords, _stage_windows
+
+    if not is_strict(X, p):
+        raise PrecubicalError("tame expects a strict path")
+    chain.validate(X)
+    if p.start_point(X).cube != chain.source or p.end_point(X).cube != chain.target:
+        raise SubordinationError("path and chain endpoints differ")
+    if not chain.cubes:
+        return p
+    _, _, windows = _stage_windows(X, p, chain)
+
+    def stage_value(stage, t, prefer_last):
+        segs = _segments_at(p, t)
+        for seg in reversed(segs) if prefer_last else segs:
+            f = _stage_coords(X, seg.cube, interp(seg, t), stage)
+            if f is not None:
+                return f
+        raise SubordinationError(f"point at t={t} is outside the collar of stage cube {stage!r}")
+
+    times = p.breakpoint_times()
+    out = []
+    for j, cube in enumerate(chain.cubes):
+        a, b = windows[j]
+        if not a < b:
+            raise SubordinationError(f"stage {j} has an empty window")
+        fa = stage_value(cube, a, prefer_last=False)
+        fb = stage_value(cube, b, prefer_last=True)
+        dens = [hi - lo for lo, hi in zip(fa, fb)]
+        if any(d == 0 for d in dens):
+            raise SubordinationError(f"degenerate free axis on stage {j}: rescale denominator is zero")
+        inner = [(t, stage_value(cube, t, prefer_last=False)) for t in times if a < t < b]
+        pts = [(t, tuple((x - lo) / d for x, lo, d in zip(f, fa, dens))) for t, f in [(a, fa), *inner, (b, fb)]]
+        out.append(Segment(cube, tuple(pts)))
+    result = PLPath(tuple(out))
+    result.validate(X)
+    return result
 
 
 def walk_iterated_face(X: CubeSet, cid: str, word: str) -> str:

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from precubical import (
+    CubeChain,
+    CubeSet,
     FacePartition,
     NoCommonCarrierError,
     Point,
+    PrecubicalError,
     boundary_cube,
     canonicalize,
     euclidean,
@@ -21,11 +24,15 @@ from precubical import (
     in_collar,
     in_face_collar,
     in_star,
+    is_tame,
     l1_distance_in_cube,
     leq_in_cube,
     q_complex,
+    subordinate_to_collar,
+    validate,
     z_complex,
 )
+from precubical.dpath import path
 from precubical.carrier import representatives
 
 from helpers import all_carriers_in_face_collar, glued_squares
@@ -213,6 +220,52 @@ def test_collar_and_star_membership_match_the_all_carriers_reference(case):
         assert in_face_collar(X, p, d) == want, d
         if X.dim(d) == 0:
             assert in_star(X, p, d) == want, d
+
+
+def _random_square(rng: random.Random) -> CubeSet:
+    """The cells of ``full_cube(2)`` with every face map drawn at random among the cells one dimension down."""
+    base = full_cube(2)
+    cubes = {c: base.dim(c) for c in base.cubes()}
+    below = {k: sorted(c for c, d in cubes.items() if d == k) for k in (0, 1)}
+    faces = {c: {key: rng.choice(below[cubes[c] - 1]) for key in base.face_table(c)} for c in cubes if cubes[c]}
+    return CubeSet(cubes, faces)
+
+
+def test_geometric_predicates_refuse_a_complex_that_fails_validation():
+    rng = random.Random(17)
+    diagonal = path([("**", [(0, (0, 0)), (1, (1, 1))])])
+    inside = Point("**", (F(1, 3), F(1, 4)))
+    refused = 0
+    for _ in range(100):
+        X = _random_square(rng)
+        violations = validate(X)
+        chain = CubeChain(diagonal.start_point(X).cube, diagonal.end_point(X).cube, ("**",))
+        calls = [
+            lambda: in_face_collar(X, inside, "**"),
+            lambda: in_star(X, inside, chain.source),
+            lambda: is_tame(X, diagonal),
+            lambda: subordinate_to_collar(X, diagonal, chain),
+        ]
+        if not violations:
+            assert [call() for call in calls] == [True, True, (True, (0, 1)), True]
+            continue
+        refused += 1
+        first = violations[0]
+        for call in calls:
+            with pytest.raises(PrecubicalError, match="fails validation") as e:
+                call()
+            assert f"first {first.kind} at {first.cube!r}: {first.detail}" in str(e.value)
+    assert refused > 50
+
+
+def test_generated_complexes_pass_the_locations_check():
+    for gen in (full_cube, boundary_cube, q_complex, z_complex):
+        for n in range(1, 5):
+            X = gen(n)
+            assert validate(X) == []
+            for c in X.cubes():
+                assert c in X.carriers_of(c)
+                assert in_face_collar(X, Point(c, (F(1, 3),) * X.dim(c)), c)
 
 
 def test_l1_distance_and_order():

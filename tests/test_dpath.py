@@ -166,14 +166,18 @@ def test_tame_witness_times_are_vertex_visits():
 
 def test_segment_samples_are_breakpoints_half_crossings_and_midpoints():
     seg = Segment("**", [(0, (0, 0)), (F(1, 2), (F(3, 4), F(1, 4))), (1, (1, 1))])
-    kinds = [(kind, t) for kind, t, _ in _samples(seg)]
-    assert kinds == [
+    samples = [(kind, F(*time), word, sides) for kind, time, word, sides in _samples(SQ, seg)]
+    assert [(kind, t) for kind, t, _, _ in samples] == [
         ("breakpoint", 0), ("midpoint", F(1, 6)), ("crossing", F(1, 3)), ("midpoint", F(5, 12)),
         ("breakpoint", F(1, 2)), ("midpoint", F(7, 12)), ("crossing", F(2, 3)), ("midpoint", F(5, 6)),
         ("breakpoint", 1),
     ]
-    assert all(coords == interp(seg, t) for _, t, coords in _samples(seg))
-    assert [t for _, t, _ in _samples(seg, first=False)] == [t for _, t in kinds[1:]]
+    # each sample is read as the canonical word and the sides of 1/2 of the point at its time
+    for _, t, word, sides in samples:
+        x = interp(seg, t)
+        assert word == "".join("0" if c == 0 else "1" if c == 1 else "*" for c in x)
+        assert sides == "".join("0" if c < F(1, 2) else "1" if c > F(1, 2) else "*" for c in x if 0 < c < 1)
+    assert [F(*time) for _, time, _, _ in _samples(SQ, seg, first=False)] == [t for _, t, _, _ in samples[1:]]
 
 
 def test_a_pause_at_a_vertex_is_witnessed_at_both_ends():

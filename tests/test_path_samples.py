@@ -5,10 +5,13 @@ segment's samples, and ``taming._m_root_in_segment`` takes the first
 passage of pairwise sums.  The references below are the earlier designs,
 kept here as they were: evaluation at merged global sample times,
 level events per segment, and a walk back over pairwise switch times.
-The sampler itself, built on integer numerators, is checked against the
-``Fraction`` sampler it replaced; the collar test on canonical points
-against the all-carriers reference in ``helpers``; and the one-walk
-``path_to_kinks`` against evaluation at every integral time.
+The sampler itself, which reads each sample as its canonical word and
+sides of 1/2 from integer numerators, is checked against the ``Fraction``
+sampler it replaced, each of whose samples is canonicalized and read as
+signs; ``tame``'s one forward walk against the per-time stage loop in
+``helpers``; the collar test on canonical points against the
+all-carriers reference in ``helpers``; and the one-walk ``path_to_kinks``
+against evaluation at every integral time.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import random
 from fractions import Fraction as F
 from typing import Iterable
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,11 +46,18 @@ from precubical import (
     tame,
     z_complex,
 )
-from precubical.carrier import HALF, ONE, ZERO, _in_collar_boxes
+from precubical.carrier import HALF, ONE, ZERO, _in_collar_boxes, _sides
 from precubical.dpath import _BREAKPOINT, _CROSSING, _MIDPOINT, PLPath, Segment, _samples, _times_between
 from precubical.taming import MSurface, _m_root_in_segment, middle_crossings
 
-from helpers import all_carriers_in_face_collar, euclidean_path, interp, random_strict_tame_path, random_two_facet_path
+from helpers import (
+    all_carriers_in_face_collar,
+    euclidean_path,
+    interp,
+    random_strict_tame_path,
+    random_two_facet_path,
+    reference_tame,
+)
 
 # -- the reference ----------------------------------------------------------------
 
@@ -219,19 +230,52 @@ def _lattice_grid_paths(draw):
     return X, euclidean_path(X, waypoints), chains
 
 
+# z2 (self-linked, not proper) with its loops of at most four steps
+Z2 = (z_complex(2), [chain for chain in enumerate_chains(z_complex(2), "c0", "c0", 4).objects if chain.cubes])
+FULL_CUBES = {n: full_cube(n) for n in range(1, 5)}
+FULL_CHAINS = {n: enumerate_chains(FULL_CUBES[n], "v" + "0" * n, "v" + "1" * n, n).objects for n in (2, 3, 4)}
+
+
+@st.composite
+def _full_cube_paths(draw):
+    """A path from corner to corner of the top cell of full2, full3 or full4 on
+    a 1/6 lattice: coordinates pinned at 0 or at 1 over whole pieces, axes
+    copied from others so that crossings coincide, and, in some of them, one
+    axis that falls over a piece.  A few chains between its ends come with it."""
+    n = draw(st.integers(2, 4))
+    count = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(n):
+        if columns and draw(st.booleans()):
+            columns.append(list(columns[draw(st.integers(0, len(columns) - 1))]))
+        else:
+            # 0 and 6 repeat, so an axis often stays at 0 or at 1 over a piece
+            columns.append([0, *sorted(draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 4, 5, 6, 6]), min_size=count, max_size=count))), 6])
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, n - 1))
+        columns[axis][1:-1] = columns[axis][-2:0:-1]  # the inner values reversed: a falling piece
+    times = [F(k, count + 1) for k in range(count + 2)]
+    p = PLPath((Segment("*" * n, tuple(zip(times, zip(*[[F(x, 6) for x in col] for col in columns])))),))
+    chains = draw(st.lists(st.sampled_from(FULL_CHAINS[n]), min_size=1, max_size=6, unique=True))
+    return FULL_CUBES[n], p, chains
+
+
 @st.composite
 def _paths(draw):
-    """A lattice grid path, a two-facet path on B3 or a strict tame path on
-    full3, q2 or q3, with the chains between its ends; half of them paused."""
-    kind = draw(st.sampled_from(["grid", "two-facet", "strict-tame"]))
+    """A lattice grid path, a two-facet path on B3, a strict tame path on
+    full3, q2, q3 or z2, or a path across the top cell of full2 to full4,
+    with chains between its ends; half of them paused."""
+    kind = draw(st.sampled_from(["grid", "two-facet", "strict-tame", "full-cube"]))
     if kind == "grid":
         X, p, chains = draw(_lattice_grid_paths())
+    elif kind == "full-cube":
+        X, p, chains = draw(_full_cube_paths())
     else:
         rng = random.Random(draw(st.integers(0, 2**32 - 1)))
         if kind == "two-facet":
             X, p, chains = B3, random_two_facet_path(B3, rng), B3_CHAINS
         else:
-            X, chains = draw(st.sampled_from(TAME_SPACES))
+            X, chains = draw(st.sampled_from(TAME_SPACES + [Z2]))
             p = random_strict_tame_path(X, rng.choice(chains), rng)
     if draw(st.booleans()):
         # pause at a breakpoint or inside a piece, by a constant stretch of phi
@@ -249,7 +293,7 @@ def _outcome(fn, *args):
         return type(e), str(e)
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(derandomize=True, max_examples=120, deadline=None)
 @given(_paths())
 def test_path_scans_match_the_reference(case):
     X, p, chains = case
@@ -257,6 +301,15 @@ def test_path_scans_match_the_reference(case):
     assert _outcome(middle_crossings, X, p) == _outcome(ref_middle_crossings, X, p)
     for chain in chains:
         assert _outcome(subordinate_to_collar, X, p, chain) == _outcome(ref_subordinate_to_collar, X, p, chain)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_paths())
+def test_tame_matches_the_stage_loop_reference(case):
+    # refusals included: the error type and text are part of the answer
+    X, p, chains = case
+    for chain in chains:
+        assert _outcome(tame, X, p, chain) == _outcome(reference_tame, X, p, chain)
 
 
 @st.composite
@@ -329,27 +382,59 @@ def _directed_segments(draw):
     return Segment("*" * n, tuple(zip(times, points)))
 
 
+def ref_sign_samples(X, seg, first=True, midpoints=True):
+    """The samples of :func:`ref_samples`, each canonicalized and read as signs: its
+    canonical word in the segment cube and the sides of 1/2 of its interior coordinates."""
+    for kind, t, coords in ref_samples(seg, first):
+        if kind is _MIDPOINT and not midpoints:
+            continue
+        pt = canonicalize(X, Point(seg.cube, coords))
+        word = "".join("0" if x == ZERO else "1" if x == ONE else "*" for x in coords)
+        assert X.iterated_faces(seg.cube)[word] == pt.cube
+        yield kind, t, word, "".join("0" if x < HALF else "1" if x > HALF else "*" for x in pt.coords)
+
+
+def _exact(samples):
+    """The sampler's samples with each time as a ``Fraction`` (its pair's denominator checked positive)."""
+    out = []
+    for kind, (n, d), word, sides in samples:
+        assert type(n) is int and type(d) is int and d > 0
+        out.append((kind, F(n, d), word, sides))
+    return out
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_directed_segments(), st.booleans())
 def test_integer_sampler_matches_the_fraction_sampler(seg, first):
-    want = list(ref_samples(seg, first))
-    got = list(_samples(seg, first))
-    assert got == want
-    assert all(type(t) is F and all(type(x) is F for x in coords) for _, t, coords in got)
-    assert list(_samples(seg, first, midpoints=False)) == [s for s in want if s[0] is not _MIDPOINT]
+    X = FULL_CUBES[len(seg.cube)]
+    want = list(ref_sign_samples(X, seg, first))
+    assert _exact(_samples(X, seg, first)) == want
+    assert _exact(_samples(X, seg, first, midpoints=False)) == list(ref_sign_samples(X, seg, first, midpoints=False))
 
 
 def test_integer_sampler_on_a_simultaneous_crossing_and_a_pause():
     seg = Segment("**", ((F(0), (F(0), F(1, 4))), (F(1), (F(1), F(3, 4))), (F(2), (F(1), F(3, 4)))))
-    assert list(_samples(seg)) == list(ref_samples(seg)) == [
-        (_BREAKPOINT, F(0), (F(0), F(1, 4))),
-        (_MIDPOINT, F(1, 4), (F(1, 4), F(3, 8))),
-        (_CROSSING, F(1, 2), (HALF, HALF)),
-        (_MIDPOINT, F(3, 4), (F(3, 4), F(5, 8))),
-        (_BREAKPOINT, F(1), (F(1), F(3, 4))),
-        (_MIDPOINT, F(3, 2), (F(1), F(3, 4))),
-        (_BREAKPOINT, F(2), (F(1), F(3, 4))),
+    X = FULL_CUBES[2]
+    assert _exact(_samples(X, seg)) == list(ref_sign_samples(X, seg)) == [
+        (_BREAKPOINT, F(0), "0*", "0"),
+        (_MIDPOINT, F(1, 4), "**", "00"),
+        (_CROSSING, F(1, 2), "**", "**"),
+        (_MIDPOINT, F(3, 4), "**", "11"),
+        (_BREAKPOINT, F(1), "1*", "1"),
+        (_MIDPOINT, F(3, 2), "1*", "1"),
+        (_BREAKPOINT, F(2), "1*", "1"),
     ]
+
+
+def test_sampler_refuses_a_breakpoint_as_canonicalize_does():
+    X = FULL_CUBES[2]
+    for x in ((F(1, 2), F(6, 5)), (F(1, 2),)):
+        bad = Segment("**", ((F(0), (F(0), F(0))), (F(1), x)))
+        with pytest.raises(PrecubicalError) as want:
+            canonicalize(X, Point("**", x))
+        with pytest.raises(PrecubicalError) as got:
+            list(_samples(X, bad))
+        assert str(got.value) == str(want.value)
 
 
 # -- collar membership on canonical points ------------------------------------------
@@ -366,7 +451,9 @@ def test_collar_helper_matches_in_face_collar_on_canonical_points(X, data):
     p = canonicalize(X, Point(cube, tuple(data.draw(st.sampled_from(levels)) for _ in range(X.dim(cube)))))
     for d in sorted(X.cubes()):
         want = all_carriers_in_face_collar(X, p, d)
-        assert _in_collar_boxes(p, X._collar(d)) == in_face_collar(X, p, d) == want
+        sides = "".join("0" if x < HALF else "1" if x > HALF else "*" for x in p.coords)
+        assert _sides(p.coords) == sides
+        assert _in_collar_boxes(p.cube, sides, X._collar(d)) == in_face_collar(X, p, d) == want
         if X.dim(d) == 0:
             assert in_star(X, p, d) == want
 

@@ -441,8 +441,10 @@ def test_tame_boundary_hugging_with_interior_breakpoints():
          "98cb656833ddbba35ef8690a2811c2634e9d112bb0d056d234bee679a6ef9f1a"),
         (50, 50, "065d5a2a933827003d50aee11839e4ebdf1dcd2f9f8263befc3973753eb99bf9",
          "d6344e485220c9f4105456529af0395f3ef638ba2f0caf3d99ad9cbe09a37bbc"),
+        (100, 100, "99d025917d70bc95ebcb8841f5b77e7fe44d984cdb40f7486917e520c1c0ea7e",
+         "543ea38960531378236ed7ba0e54dd1413eb645c0732f662d9fcd3d07756f02d"),
     ],
-    ids=["band25", "band50"],
+    ids=["band25", "band50", "band100"],
 )
 def test_path_stack_documents_are_pinned(n, seed, digest, strict_digest):
     # a seeded strict, non-tame path across the diagonal band of n squares,
